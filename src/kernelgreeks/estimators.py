@@ -25,9 +25,11 @@ Estimator menu
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from .errors import (
     DegenerateBandwidth,
@@ -69,8 +71,9 @@ __all__ = [
 #: leave-one-out density values below 1e-12 * h^-2 are dropped
 DENSITY_FLOOR_SCALE = 1e-12
 
-#: row-chunk size of the pairwise double-kernel sweep
-_PAIR_CHUNK = 512
+#: array elements per chunk of the double-kernel window sums, which bounds
+#: their temporaries independently of N
+_PAIR_BUDGET = 2**18
 
 
 @dataclass(frozen=True)
@@ -261,7 +264,20 @@ def estimate_double_kernel(samples: SampleSet, config: EstimatorConfig) -> Estim
     pair (K, H), their ratio plus the log-density correction approximates
     the score, and the usual localized average is returned. Draws whose
     density estimate falls below 1e-12 * h^-2 are dropped.
+
+    When both kernels are polynomials the window sums come from exact
+    moment range sums in O(N log^2 N); custom kernels use the direct
+    pairwise sweep. The two agree up to roundoff.
     """
+    second = config.second_kernel
+    polynomial = config.kernel.coeffs is not None and second is not None and second.coeffs is not None
+    pair_sums = _double_kernel_moments if polynomial else _double_kernel_direct
+    return _double_kernel(samples, config, pair_sums)[0]
+
+
+def _double_kernel(samples: SampleSet, config: EstimatorConfig, pair_sums) -> tuple[Estimate, int]:
+    """The double-kernel estimate and the number of draws dropped under the
+    density floor, with the window sums taken by ``pair_sums``."""
     _require_draws(samples)
     if samples.n < 2:
         raise InsufficientSamples("leave-one-out estimation needs at least two draws")
@@ -276,31 +292,188 @@ def estimate_double_kernel(samples: SampleSet, config: EstimatorConfig) -> Estim
     lam = samples.lambdas[order]
     z = samples.states[order]
     phi = samples.payoffs[order]
-
-    window = second.support_radius * h
-    den = np.empty(n)
-    num = np.empty(n)
-    for a in range(0, n, _PAIR_CHUNK):
-        b = min(a + _PAIR_CHUNK, n)
-        ja = int(np.searchsorted(z, z[a] - window, side="left"))
-        jb = int(np.searchsorted(z, z[b - 1] + window, side="right"))
-        du = (lam[a:b, None] - lam[None, ja:jb]) / h
-        hz = second((z[a:b, None] - z[None, ja:jb]) / h)
-        den[a:b] = np.sum(kernel(du) * hz, axis=1)
-        num[a:b] = np.sum(kernel.gradient(du) * hz, axis=1)
+    # a draw with a non-finite parameter or state is in no kernel window,
+    # not even its own, and is dropped
+    finite = np.isfinite(lam) & np.isfinite(z)
+    den, num = np.zeros(n), np.zeros(n)
+    den[finite], num[finite] = pair_sums(lam[finite], z[finite], h, kernel, second)
 
     # remove the self pair, then apply the leave-one-out scalings
     den = (den - kernel(0.0) * second(0.0)) / ((n - 1) * h * h)
     num = (num - kernel.gradient(0.0) * second(0.0)) / ((n - 1) * h**3)
 
-    keep = den >= DENSITY_FLOOR_SCALE / (h * h)
+    keep = finite & (den >= DENSITY_FLOOR_SCALE / (h * h))
     score_hat = np.zeros(n)
     np.divide(num, den, out=score_hat, where=keep)
     score_hat += r.grad_log_density(samples.lambda0 - lam)
     weights = kernel((samples.lambda0 - lam) / h)
     total = float(np.sum(np.where(keep, phi * score_hat * weights, 0.0)))
     value = total / (r.density_at_zero() * n * h)
-    return Estimate(_finite(value, "double"), n, "double")
+    return Estimate(_finite(value, "double"), n, "double"), int(n - np.count_nonzero(keep))
+
+
+def _window_bounds(x: np.ndarray, h: float, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """For sorted x, the index range [lo, hi) of the j with
+    |fl((x_i - x_j) / h)| <= radius, the test a kernel applies to its
+    argument. The quotient is monotone in x_j, so the range is contiguous.
+    A searchsorted on the rounded x_i -/+ radius * h can miss it by a value
+    either way, so each bound is then moved one distinct value at a time
+    until it agrees with the test.
+    """
+    n = x.size
+
+    def inside(j):
+        valid = (j >= 0) & (j < n)
+        return valid & (np.abs((x - x[np.clip(j, 0, n - 1)]) / h) <= radius)
+
+    lo = np.searchsorted(x, x - radius * h, side="left")
+    hi = np.searchsorted(x, x + radius * h, side="right")
+    while True:
+        grow_lo, shrink_lo = inside(lo - 1), ~inside(lo)
+        grow_hi, shrink_hi = inside(hi), ~inside(hi - 1)
+        if not (grow_lo.any() or shrink_lo.any() or grow_hi.any() or shrink_hi.any()):
+            return lo, hi
+        lo = np.where(grow_lo, np.searchsorted(x, x[np.maximum(lo - 1, 0)], side="left"), lo)
+        lo = np.where(shrink_lo, np.searchsorted(x, x[np.minimum(lo, n - 1)], side="right"), lo)
+        hi = np.where(grow_hi, np.searchsorted(x, x[np.minimum(hi, n - 1)], side="right"), hi)
+        hi = np.where(shrink_hi, np.searchsorted(x, x[np.maximum(hi - 1, 0)], side="left"), hi)
+
+
+def _double_kernel_direct(lam, z, h, kernel, second) -> tuple[np.ndarray, np.ndarray]:
+    """Sums of K(du) H(dz) and K'(du) H(dz) over each draw's state window,
+    self pair included, by direct evaluation of every pair; z is sorted."""
+    n = z.size
+    lo, hi = _window_bounds(z, h, second.support_radius)
+    den = np.empty(n)
+    num = np.empty(n)
+    a = 0
+    while a < n:
+        # rows a..b-1 span columns lo[a]..hi[b-1]; keep rows * columns in budget
+        cap = min(n - a, max(1, _PAIR_BUDGET // int(hi[a] - lo[a])))
+        cells = np.arange(1, cap + 1) * (hi[a : a + cap] - lo[a])
+        b = a + max(1, int(np.searchsorted(cells, _PAIR_BUDGET, side="right")))
+        ja, jb = lo[a], hi[b - 1]
+        du = (lam[a:b, None] - lam[None, ja:jb]) / h
+        hz = second((z[a:b, None] - z[None, ja:jb]) / h)
+        den[a:b] = np.sum(kernel(du) * hz, axis=1)
+        num[a:b] = np.sum(kernel.gradient(du) * hz, axis=1)
+        a = b
+    return den, num
+
+
+def _shift_matrix(coeffs: np.ndarray, degree: int) -> np.ndarray:
+    """S with P(x - y) = sum_s (S @ [x^0 .. x^degree])_s * y^s for the
+    polynomial P with ascending coefficients ``coeffs``."""
+    shift = np.zeros((degree + 1, degree + 1))
+    for s in range(degree + 1):
+        for t in range(min(degree + 1 - s, len(coeffs) - s)):
+            shift[s, t] = (-1) ** s * math.comb(s + t, s) * coeffs[s + t]
+    return shift
+
+
+def _double_kernel_moments(lam, z, h, kernel, second) -> tuple[np.ndarray, np.ndarray]:
+    """The sums of :func:`_double_kernel_direct` from polynomial moments.
+
+    Inside both windows K(du) H(dz) is a polynomial in the two points, so a
+    draw's sum is a sum of monomials over the box of draws inside both
+    windows. The draws are cut into lambda slabs of width 2 M h, so a
+    lambda window meets at most two or three of them, and laid out by
+    (slab, z); each window's part in one slab is a contiguous range of that
+    layout. A merge-sort tree over the layout splits the range into at most
+    two blocks per level. Inside a block the draws are ordered by lambda
+    and carry prefix sums of the monomials, so the box is the difference of
+    two prefixes.
+
+    The monomials are taken about the block's own centre in both
+    coordinates, in units of h, so every draw and query sits within 2 M of
+    it. A global centre would put them up to epsilon / h away, and the
+    binomial expansion of the order-6 kernel would cancel several digits.
+    """
+    n = z.size
+    dk, dh = len(kernel.coeffs) - 1, len(second.coeffs) - 1
+    width = (dk + 1) * (dh + 1)
+    shift_k = _shift_matrix(kernel.coeffs, dk).T
+    shift_grad = _shift_matrix(npoly.polyder(kernel.coeffs), dk).T
+    shift_h = _shift_matrix(second.coeffs, dh).T
+
+    def powers(offsets, degree):
+        u = offsets / h
+        out = np.empty((degree + 1, u.size))
+        out[0] = 1.0
+        for t in range(1, degree + 1):
+            np.multiply(out[t - 1], u, out=out[t])
+        return out.T
+
+    by_lam = np.argsort(lam, kind="stable")
+    lam_rank = np.empty(n, dtype=np.int64)
+    lam_rank[by_lam] = np.arange(n)
+    lam_lo, lam_hi = _window_bounds(lam[by_lam], h, kernel.support_radius)
+    rank_lo, rank_hi = lam_lo[lam_rank], lam_hi[lam_rank]
+    z_lo, z_hi = _window_bounds(z, h, second.support_radius)
+
+    # slab numbers are monotone in lambda, so a window's slabs run from the
+    # slab of its lowest-ranked member to that of its highest
+    cut = np.floor((lam - lam.min()) / (2.0 * kernel.support_radius * h))
+    slab = np.unique(cut, return_inverse=True)[1].astype(np.int64)
+    layout = np.sort(slab * n + np.arange(n))
+    draw_at = layout % n
+    slab_sorted = slab[by_lam]
+    first_slab = slab_sorted[rank_lo]
+    span = slab_sorted[rank_hi - 1] - first_slab + 1
+    query = np.repeat(np.arange(n), span)
+    piece_slab = first_slab[query] + np.arange(query.size) - np.repeat(np.cumsum(span) - span, span)
+    left = np.searchsorted(layout, piece_slab * n + z_lo[query])
+    right = np.searchsorted(layout, piece_slab * n + z_hi[query])
+
+    den, num, count = np.zeros(n), np.zeros(n), np.zeros(n)
+    rows = max(1, _PAIR_BUDGET // width)
+    level = 0
+    while np.any(left < right):
+        # a range [left, right) of blocks takes block left when left is odd
+        # and block right - 1 when right is odd, then halves to the next level
+        active = left < right
+        take_left = np.flatnonzero(active & (left % 2 == 1))
+        take_right = np.flatnonzero(active & (right % 2 == 1))
+        taken = np.concatenate([take_left, take_right])
+        node = np.concatenate([left[take_left], right[take_right] - 1])
+        size = 1 << level
+        blocks = np.arange(n) >> level
+        key = np.sort(blocks * n + lam_rank[draw_at])
+        members = by_lam[key % n]
+        first = np.arange(0, n, size)
+        last = np.minimum(first + size, n) - 1
+        lam_c = 0.5 * (lam[members[first]] + lam[members[last]])
+        z_c = 0.5 * (z[draw_at[first]] + z[draw_at[last]])
+        # exclusive prefix sums per block: block k owns rows k*(size+1) onward
+        prefix = np.zeros((first.size, size + 1, width))
+        flat = prefix.reshape(-1, width)
+        for a in range(0, n, rows):
+            m, b = members[a : a + rows], blocks[a : a + rows]
+            mono = powers(lam[m] - lam_c[b], dk)[:, :, None] * powers(z[m] - z_c[b], dh)[:, None, :]
+            flat[np.arange(a, a + m.size) + b + 1] = mono.reshape(-1, width)
+        np.cumsum(prefix, axis=1, out=prefix)
+        for a in range(0, taken.size, rows):
+            q, k = query[taken[a : a + rows]], node[a : a + rows]
+            lo_rows = np.searchsorted(key, k * n + rank_lo[q]) + k
+            hi_rows = np.searchsorted(key, k * n + rank_hi[q]) + k
+            box = (flat[hi_rows] - flat[lo_rows]).reshape(-1, dk + 1, dh + 1)
+            inner = np.einsum("isr,ir->is", box, powers(z[q] - z_c[k], dh) @ shift_h)
+            lam_pow = powers(lam[q] - lam_c[k], dk)
+            den += np.bincount(q, np.einsum("is,is->i", lam_pow @ shift_k, inner), n)
+            num += np.bincount(q, np.einsum("is,is->i", lam_pow @ shift_grad, inner), n)
+            count += np.bincount(q, hi_rows - lo_rows, n)
+        left[take_left] += 1
+        right[take_right] -= 1
+        left >>= 1
+        right >>= 1
+        level += 1
+
+    # a draw alone in its box has only the self pair, which the direct sum
+    # cancels exactly; the expansion would leave roundoff above the floor
+    alone = count == 1
+    den[alone] = kernel(0.0) * second(0.0)
+    num[alone] = kernel.gradient(0.0) * second(0.0)
+    return den, num
 
 
 def estimate_oracle_score(

@@ -116,6 +116,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown estimator {self.estimator_id!r}")
         if self.n_samples < 1 or self.replications < 1:
             raise ValueError("need n_samples >= 1 and replications >= 1")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
         if isinstance(self.bandwidth, str):
             if self.bandwidth != "auto":
                 raise ValueError("bandwidth must be 'auto' or a positive number")

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import DimensionMismatch, NonPositiveState
 
@@ -298,7 +297,7 @@ def closed_form_vanilla_delta(g: GbmParams, strike: float) -> float:
     if strike <= 0.0:
         raise NonPositiveState("strike must be positive")
     d1 = _d2(g, strike) + g.vol * math.sqrt(g.maturity)
-    return float(ndtr(d1))
+    return 0.5 * math.erfc(-d1 / math.sqrt(2.0))
 
 
 def closed_form_identity_delta(g: GbmParams) -> float:

@@ -36,8 +36,8 @@ STREAM_REFERENCE = 2**46
 
 def stream(seed: int, stream_id: int) -> np.random.Generator:
     """Open the generator for one (seed, stream_id) pair."""
-    if seed < 0 or stream_id < 0:
-        raise ValueError("seed and stream_id must be nonnegative")
+    if not (0 <= seed < 2**64 and 0 <= stream_id < 2**64):
+        raise ValueError("seed and stream_id must lie in [0, 2**64)")
     return np.random.Generator(np.random.Philox(key=[seed, stream_id]))
 
 

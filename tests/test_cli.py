@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -394,3 +398,17 @@ def test_domain_errors_report_cleanly(capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: replication 0")
+
+
+def test_out_of_range_seed_is_a_usage_error():
+    # a fresh interpreter, so that an uncaught exception would show as a traceback
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "kernelgreeks.cli", "estimate", "--seed", str(2**64),
+         "--n", "10", "--reps", "2"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert any(line.startswith("kernelgreeks: error: seed") for line in proc.stderr.splitlines())

@@ -1,6 +1,7 @@
 """Unit tests of the delta estimators on hand-checkable sample sets."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from kernelgreeks import (
     ScoreUnavailable,
     builtin_kernel,
     closed_form_digital_delta,
+    custom_kernel,
     digital_call,
     estimate_double_kernel,
     estimate_exponential_opt,
@@ -39,8 +41,15 @@ from kernelgreeks import (
     uniform_randomizer,
     vanilla_call,
 )
+from kernelgreeks.estimators import (
+    _double_kernel,
+    _double_kernel_direct,
+    _double_kernel_moments,
+)
 
 K2 = builtin_kernel("p2")
+#: the order-2 polynomial as callables, which takes the direct pairwise route
+K2_CALLABLE = custom_kernel(lambda u: 0.75 * (1.0 - u * u), lambda u: -1.5 * u, order_p=2)
 PAPER = GbmParams(spot=120.0, rate=0.0, vol=0.2, maturity=1.0)
 
 
@@ -305,6 +314,62 @@ def test_double_kernel_density_floor_drops_isolated_draws():
     s = SampleSet(0.0, [0.2, -0.1], [1.0, 50.0], [1.0, 1.0], randomizer=r)
     cfg = EstimatorConfig(kernel=K2, bandwidth=1.0, second_kernel=K2)
     assert estimate_double_kernel(s, cfg).value == 0.0
+
+
+@pytest.mark.parametrize("family", ["p2", "p4", "p6"])
+@pytest.mark.parametrize("h", [0.5, 2.0, 14.0])
+def test_double_kernel_moments_match_direct_sweep(family, h):
+    # the moment range sums against the pairwise sweep, on the same draws;
+    # at h = 0.5 the offsets reach 16 h and many draws fall under the floor
+    kernel = builtin_kernel(family)
+    cfg = EstimatorConfig(kernel=kernel, bandwidth=h, second_kernel=kernel)
+    rng = np.random.default_rng(21)
+    for r in (uniform_randomizer(8.0), truncexp_randomizer(8.0, 0.2)):
+        s = make_samples(rng, 3000, randomizer=r)
+        direct, dropped_direct = _double_kernel(s, cfg, _double_kernel_direct)
+        moments, dropped_moments = _double_kernel(s, cfg, _double_kernel_moments)
+        assert moments.value == pytest.approx(direct.value, rel=1e-9)
+        assert dropped_moments == dropped_direct
+
+
+def test_double_kernel_drops_non_finite_draws():
+    rng = np.random.default_rng(24)
+    s = make_samples(rng, 300)
+    states = s.states.copy()
+    states[[3, 7]] = [np.nan, np.inf]
+    bad = SampleSet(s.lambda0, s.lambdas, states, s.payoffs, randomizer=s.randomizer)
+    cfg = EstimatorConfig(kernel=K2, bandwidth=4.0, second_kernel=K2)
+    direct, dropped_direct = _double_kernel(bad, cfg, _double_kernel_direct)
+    moments, dropped_moments = _double_kernel(bad, cfg, _double_kernel_moments)
+    assert math.isfinite(direct.value)
+    assert moments.value == pytest.approx(direct.value, rel=1e-12)
+    assert dropped_moments == dropped_direct >= 2
+
+
+def test_double_kernel_custom_p2_takes_the_direct_route():
+    rng = np.random.default_rng(22)
+    s = make_samples(rng, 2000, payoff=vanilla_call(118.0))
+    built_in = EstimatorConfig(kernel=K2, bandwidth=3.0, second_kernel=K2)
+    wrapped = EstimatorConfig(kernel=K2_CALLABLE, bandwidth=3.0, second_kernel=K2_CALLABLE)
+    assert estimate_double_kernel(s, wrapped).value == pytest.approx(
+        estimate_double_kernel(s, built_in).value, rel=1e-12
+    )
+
+
+def test_double_kernel_direct_sweep_memory_is_bounded():
+    # the window holds about an eighth of the draws, so a fixed row count
+    # per chunk would make the temporaries grow linearly in N
+    cfg = EstimatorConfig(kernel=K2_CALLABLE, bandwidth=3.0, second_kernel=K2_CALLABLE)
+    rng = np.random.default_rng(23)
+    for n in (4000, 16000):
+        s = make_samples(rng, n)
+        tracemalloc.start()
+        try:
+            estimate_double_kernel(s, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
 
 
 # -- oracle score -----------------------------------------------------------

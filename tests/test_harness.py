@@ -83,6 +83,17 @@ def test_config_validation():
         base_config(antithetic=True, n_samples=999)
 
 
+def test_seeds_and_stream_ids_stay_below_2_64():
+    base_config(seed=2**64 - 1)
+    stream(2**64 - 1, 2**64 - 1)
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError):
+            base_config(seed=seed)
+    for key in ((2**64, 0), (0, 2**64), (-1, 0)):
+        with pytest.raises(ValueError):
+            stream(*key)
+
+
 def test_effective_randomizer_kind():
     assert base_config().effective_randomizer_kind == "uniform"
     assert base_config(estimator_id="exponential").effective_randomizer_kind == "truncexp"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from kernelgreeks import (
     AsianConfig,
@@ -229,6 +230,15 @@ def test_closed_form_deltas():
     assert closed_form_identity_delta(PAPER) == 1.0
     g = GbmParams(spot=100.0, rate=0.05, vol=0.2, maturity=2.0)
     assert closed_form_identity_delta(g) == pytest.approx(math.exp(0.1), rel=1e-15)
+
+
+def test_vanilla_delta_matches_ndtr():
+    # N(d1) is 0.5 erfc(-d1 / sqrt 2); scipy's ndtr is the reference
+    g = GbmParams(spot=1.0, rate=0.0, vol=1.0, maturity=1.0)
+    for target in np.linspace(-8.0, 8.0, 1601):
+        strike = math.exp(0.5 - target)
+        d1 = (math.log(g.spot / strike) - 0.5) + 1.0
+        assert abs(closed_form_vanilla_delta(g, strike) - ndtr(d1)) <= 4e-16
 
 
 def test_closed_form_limits():
