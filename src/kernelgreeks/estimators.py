@@ -420,12 +420,13 @@ def _double_kernel_moments(lam, z, h, kernel, second) -> tuple[np.ndarray, np.nd
     slab_sorted = slab[by_lam]
     first_slab = slab_sorted[rank_lo]
     span = slab_sorted[rank_hi - 1] - first_slab + 1
+    # one piece per (draw, slab its lambda window meets)
     query = np.repeat(np.arange(n), span)
     piece_slab = first_slab[query] + np.arange(query.size) - np.repeat(np.cumsum(span) - span, span)
     left = np.searchsorted(layout, piece_slab * n + z_lo[query])
     right = np.searchsorted(layout, piece_slab * n + z_hi[query])
 
-    den, num, count = np.zeros(n), np.zeros(n), np.zeros(n)
+    den, num = np.zeros(n), np.zeros(n)
     rows = max(1, _PAIR_BUDGET // width)
     level = 0
     while np.any(left < right):
@@ -438,6 +439,7 @@ def _double_kernel_moments(lam, z, h, kernel, second) -> tuple[np.ndarray, np.nd
         node = np.concatenate([left[take_left], right[take_right] - 1])
         size = 1 << level
         blocks = np.arange(n) >> level
+        # key encodes (block, lambda rank): the draws of each block in lambda order
         key = np.sort(blocks * n + lam_rank[draw_at])
         members = by_lam[key % n]
         first = np.arange(0, n, size)
@@ -461,18 +463,11 @@ def _double_kernel_moments(lam, z, h, kernel, second) -> tuple[np.ndarray, np.nd
             lam_pow = powers(lam[q] - lam_c[k], dk)
             den += np.bincount(q, np.einsum("is,is->i", lam_pow @ shift_k, inner), n)
             num += np.bincount(q, np.einsum("is,is->i", lam_pow @ shift_grad, inner), n)
-            count += np.bincount(q, hi_rows - lo_rows, n)
         left[take_left] += 1
         right[take_right] -= 1
         left >>= 1
         right >>= 1
         level += 1
-
-    # a draw alone in its box has only the self pair, which the direct sum
-    # cancels exactly; the expansion would leave roundoff above the floor
-    alone = count == 1
-    den[alone] = kernel(0.0) * second(0.0)
-    num[alone] = kernel.gradient(0.0) * second(0.0)
     return den, num
 
 

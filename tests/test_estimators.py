@@ -332,6 +332,22 @@ def test_double_kernel_moments_match_direct_sweep(family, h):
         assert dropped_moments == dropped_direct
 
 
+def test_double_kernel_moments_keep_support_edge_pairs():
+    # on a lattice of spacing h many pairs sit exactly on the support edge,
+    # where K' jumps: a window that disagrees with the kernel's own test
+    # |(x_i - x_j) / h| <= 1 by one pair moves the sums by O(1)
+    rng = np.random.default_rng(25)
+    for h in rng.uniform(0.1, 20.0, 12):
+        lam = np.sort(100.0 + h * rng.integers(0, 6, 200))
+        z = np.sort(90.0 + 0.5 * h * rng.integers(0, 8, 200))
+        rng.shuffle(lam)
+        for family in ("p2", "p6"):
+            kernel = builtin_kernel(family)
+            direct = _double_kernel_direct(lam, z, h, kernel, kernel)
+            moments = _double_kernel_moments(lam, z, h, kernel, kernel)
+            np.testing.assert_allclose(moments, direct, rtol=0.0, atol=1e-7)
+
+
 def test_double_kernel_drops_non_finite_draws():
     rng = np.random.default_rng(24)
     s = make_samples(rng, 300)
