@@ -26,21 +26,21 @@ from .estimators import (
     SampleSet,
     estimate_double_kernel,
     estimate_exponential_opt,
-    estimate_finite_difference,
     estimate_oracle_score,
     estimate_single_kernel_check,
     estimate_single_kernel_hat,
     estimate_uniform_opt,
 )
+from .estimators import _finite_difference_at_unit_spot
 from .kernels import Kernel, builtin_kernel
 from .models import (
     AsianConfig,
     GbmParams,
     Payoff,
+    asian_unit_averages,
     closed_form_digital_delta,
     closed_form_identity_delta,
     closed_form_vanilla_delta,
-    simulate_asian,
     simulate_terminal,
 )
 from .randomizers import Randomizer
@@ -193,16 +193,18 @@ class _RunPlan:
     choice: BandwidthChoice | None
 
 
-def _draw_gauss(rng: np.random.Generator, n: int, asian: AsianConfig | None) -> np.ndarray:
-    if asian is None:
-        return rng.standard_normal(n)
-    return rng.standard_normal((n, asian.steps))
+def _draw_states(cfg: ExperimentConfig, rng: np.random.Generator, n: int):
+    """Draw the noise of n paths once; return the states at a given spot.
 
-
-def _states_at(cfg: ExperimentConfig, gauss: np.ndarray, spot) -> np.ndarray:
+    The spot is a scalar or an (n,) array. Both states are linear in the
+    spot. The averaged state is reduced to its (n,) unit-spot averages
+    block by block, so its (n, steps) normals are never held at once.
+    """
     if cfg.asian is None:
-        return simulate_terminal(cfg.model, gauss, spot=spot)
-    return np.atleast_1d(simulate_asian(cfg.model, cfg.asian, gauss, spot=spot))
+        gauss = rng.standard_normal(n)
+        return lambda spot: simulate_terminal(cfg.model, gauss, spot=spot)
+    unit = asian_unit_averages(cfg.model, cfg.asian, rng, n)
+    return lambda spot: spot * unit
 
 
 def resolve_run(cfg: ExperimentConfig, stream_base: int = 0) -> _RunPlan:
@@ -220,8 +222,7 @@ def resolve_run(cfg: ExperimentConfig, stream_base: int = 0) -> _RunPlan:
     pilot = choice = None
     if cfg.bandwidth == "auto":
         rng = stream(cfg.seed, stream_base + PILOT_OFFSET)
-        gauss = _draw_gauss(rng, PILOT_N, cfg.asian)
-        states = _states_at(cfg, gauss, cfg.model.spot)
+        states = _draw_states(cfg, rng, PILOT_N)(cfg.model.spot)
         mode = "uniform" if kind == "uniform" else "exponential"
         theta_arg = 0.0 if kind == "uniform" else cfg.theta
         pilot, choice = select_bandwidth(
@@ -244,8 +245,8 @@ def resolve_run(cfg: ExperimentConfig, stream_base: int = 0) -> _RunPlan:
     return _RunPlan(kernel, second, h, theta, randomizer, pilot, choice)
 
 
-def _kernel_estimate(cfg: ExperimentConfig, plan: _RunPlan, lams: np.ndarray, gauss) -> float:
-    states = _states_at(cfg, gauss, lams)
+def _kernel_estimate(cfg: ExperimentConfig, plan: _RunPlan, lams: np.ndarray, states_at) -> float:
+    states = states_at(lams)
     phi = cfg.payoff(states)
     state_kind = "terminal" if cfg.asian is None else "asian"
     ss = SampleSet(
@@ -278,12 +279,11 @@ def _one_replication(cfg: ExperimentConfig, plan: _RunPlan, stream_id: int) -> f
     rng = stream(cfg.seed, stream_id)
     spot = cfg.model.spot
     if cfg.estimator_id == "fd":
-        gauss = _draw_gauss(rng, cfg.n_samples, cfg.asian)
         fd = FdConfig(alpha=cfg.fd_alpha, bump=cfg.fd_eps)
-        return estimate_finite_difference(cfg.model, cfg.payoff, fd, gauss, asian=cfg.asian).value
+        base = _draw_states(cfg, rng, cfg.n_samples)(1.0)
+        return _finite_difference_at_unit_spot(cfg.model, cfg.payoff, fd, base).value
     if cfg.estimator_id == "lr":
-        gauss = _draw_gauss(rng, cfg.n_samples, cfg.asian)
-        states = _states_at(cfg, gauss, spot)
+        states = _draw_states(cfg, rng, cfg.n_samples)(spot)
         ss = SampleSet(
             lambda0=spot,
             lambdas=np.full(cfg.n_samples, spot),
@@ -294,12 +294,25 @@ def _one_replication(cfg: ExperimentConfig, plan: _RunPlan, stream_id: int) -> f
         return estimate_oracle_score(ss, cfg.model).value
     n = cfg.n_samples // 2 if cfg.antithetic else cfg.n_samples
     offsets = plan.randomizer.sample_offsets(rng.random(n))
-    gauss = _draw_gauss(rng, n, cfg.asian)
-    value = _kernel_estimate(cfg, plan, spot - offsets, gauss)
+    states_at = _draw_states(cfg, rng, n)
+    value = _kernel_estimate(cfg, plan, spot - offsets, states_at)
     if not cfg.antithetic:
         return value
-    mirrored = _kernel_estimate(cfg, plan, spot + offsets, gauss)
+    mirrored = _kernel_estimate(cfg, plan, spot + offsets, states_at)
     return 0.5 * (value + mirrored)
+
+
+def _with_index(exc: Exception, j: int) -> Exception:
+    """The error of replication j, with "replication j" in its message.
+
+    The original type is kept where it can be rebuilt from a message alone,
+    as every KernelGreeksError can; otherwise the result is a RuntimeError.
+    """
+    message = f"replication {j}: {exc}"
+    try:
+        return type(exc)(message)
+    except TypeError:  # the constructor wants more than a message
+        return RuntimeError(message)
 
 
 def _default_workers() -> int:
@@ -314,7 +327,7 @@ def run_replications(
     Replication j always consumes stream ``stream_base + j``, and the
     output array is indexed by j, so the result does not depend on the
     worker count. Estimator errors are re-raised with the replication
-    index prepended.
+    index prepended and the original chained.
     """
     plan = resolve_run(cfg, stream_base)
     r_count = cfg.replications
@@ -326,7 +339,7 @@ def run_replications(
         try:
             value = _one_replication(cfg, plan, stream_base + j)
         except Exception as exc:
-            raise type(exc)(f"replication {j}: {exc}") from exc
+            raise _with_index(exc, j) from exc
         return value, (time.perf_counter() - t0) * 1e3
 
     w = _default_workers() if workers is None else max(1, workers)
@@ -370,9 +383,7 @@ def tune_fd_bump(
     and the variance from the per-sample spread; both use one shared
     pilot sample.
     """
-    rng = stream(seed, STREAM_REFERENCE)
-    gauss = rng.standard_normal((pilot_n, asian.steps))
-    base = np.atleast_1d(simulate_asian(model, asian, gauss, spot=1.0))
+    base = asian_unit_averages(model, asian, stream(seed, STREAM_REFERENCE), pilot_n)
     best_eps, best_score = None, np.inf
     for frac in _FD_BUMP_FRACTIONS:
         eps = frac * model.spot
@@ -405,8 +416,7 @@ def asian_fd_reference(
     up, down = model.spot + 0.5 * eps, model.spot - 0.5 * eps
     while done < n:
         m = min(_REFERENCE_CHUNK, n - done)
-        gauss = rng.standard_normal((m, asian.steps))
-        base = np.atleast_1d(simulate_asian(model, asian, gauss, spot=1.0))
+        base = asian_unit_averages(model, asian, rng, m)
         total += float(np.sum(payoff(up * base) - payoff(down * base)))
         done += m
     return total / (n * eps)

@@ -28,6 +28,7 @@ __all__ = [
     "lognormal_params",
     "simulate_terminal",
     "simulate_asian",
+    "asian_unit_averages",
     "density_f",
     "standardized_d",
     "score_coefficients",
@@ -46,6 +47,10 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 #: largest supported derivative order of the coefficient recursion
 MAX_SCORE_ORDER = 10
+
+#: standard normals per row block of ``asian_unit_averages``; bounds the
+#: memory of the averaged-state simulation independently of N
+_ASIAN_BLOCK = 2**18
 
 
 @dataclass(frozen=True)
@@ -128,15 +133,39 @@ def simulate_asian(g: GbmParams, cfg: AsianConfig, gauss_path, spot=None):
         )
     x = g.spot if spot is None else spot
     dt = g.maturity / cfg.steps
-    log_incr = (g.rate - 0.5 * g.vol**2) * dt + g.vol * math.sqrt(dt) * gauss_path
+    # one working array: log increments, then their running sums, then the
     # unit-spot path values at nodes 1..steps
-    path = np.exp(np.cumsum(log_incr, axis=-1))
+    path = np.multiply(g.vol * math.sqrt(dt), gauss_path)
+    path += (g.rate - 0.5 * g.vol**2) * dt
+    np.cumsum(path, axis=-1, out=path)
+    np.exp(path, out=path)
     if cfg.scheme == "trapezoid":
         unit = dt * (0.5 + path[..., :-1].sum(axis=-1) + 0.5 * path[..., -1])
     else:  # left Riemann: nodes 0..steps-1
         unit = dt * (1.0 + path[..., :-1].sum(axis=-1))
     out = np.asarray(x) * unit
     return float(out[0]) if out.shape == (1,) else out
+
+
+def asian_unit_averages(
+    g: GbmParams, cfg: AsianConfig, rng: np.random.Generator, n: int
+) -> np.ndarray:
+    """Unit-spot averages of n paths whose normals are drawn from rng.
+
+    The normals are drawn in row blocks of at most ``_ASIAN_BLOCK``
+    elements into one reused buffer, so memory does not grow with n. A
+    Philox stream continues bit for bit across draws, so the result equals
+    ``simulate_asian(g, cfg, rng.standard_normal((n, cfg.steps)), spot=1.0)``
+    exactly; multiply it by a spot to get the states at that spot.
+    """
+    rows = max(1, min(n, _ASIAN_BLOCK // cfg.steps))
+    block = np.empty((rows, cfg.steps))
+    out = np.empty(n)
+    for start in range(0, n, rows):
+        part = block[: min(rows, n - start)]
+        rng.standard_normal(out=part)
+        out[start : start + part.shape[0]] = simulate_asian(g, cfg, part, 1.0)
+    return out
 
 
 # -- lognormal analytics ---------------------------------------------------

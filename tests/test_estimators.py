@@ -84,6 +84,16 @@ def test_sample_set_validation():
     assert s.lambdas.dtype == float
 
 
+def test_sample_set_rejects_non_finite_parameters():
+    # a NaN offset compares False against the support, so it must not pass
+    r = uniform_randomizer(8.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(OutsideSupport):
+            SampleSet(120.0, [bad, 119.0], [100.0, 130.0], [0.0, 1.0], randomizer=r)
+    with pytest.raises(OutsideSupport):
+        SampleSet(np.nan, [120.0, 119.0], [100.0, 130.0], [0.0, 1.0], randomizer=r)
+
+
 def test_empty_and_bad_bandwidth():
     empty = SampleSet(0.0, np.zeros(0), np.zeros(0), np.zeros(0))
     cfg = EstimatorConfig(kernel=K2, bandwidth=1.0, randomizer=uniform_randomizer(1.0))

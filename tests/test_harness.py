@@ -1,6 +1,7 @@
 """Replication engine: streams, determinism, summaries, rate fits, references."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,13 +11,16 @@ from scipy import stats
 
 from kernelgreeks import (
     AsianConfig,
+    EstimatorConfig,
     ExperimentConfig,
+    FdConfig,
     GbmParams,
     InsufficientReplications,
     InsufficientSamples,
     NonPositiveVariance,
     RandomizerMismatch,
     SampleSet,
+    ScoreUnavailable,
     asian_fd_reference,
     builtin_kernel,
     closed_form_digital_delta,
@@ -25,6 +29,8 @@ from kernelgreeks import (
     constant_payoff,
     convergence_rate_fit,
     digital_call,
+    estimate_finite_difference,
+    estimate_single_kernel_hat,
     estimate_uniform_opt,
     fit_loglog,
     identity_payoff,
@@ -33,6 +39,7 @@ from kernelgreeks import (
     reference_value,
     resolve_run,
     run_replications,
+    simulate_asian,
     simulate_terminal,
     stream,
     summarize,
@@ -41,7 +48,8 @@ from kernelgreeks import (
     uniform_randomizer,
     vanilla_call,
 )
-from kernelgreeks.harness import PILOT_N
+from kernelgreeks import harness
+from kernelgreeks.harness import PILOT_N, _one_replication
 
 PAPER = GbmParams(spot=120.0, rate=0.0, vol=0.2, maturity=1.0)
 K2 = builtin_kernel("p2")
@@ -214,6 +222,26 @@ def test_replication_errors_carry_index():
     cfg = base_config(estimator_id="double", n_samples=1, replications=2)
     with pytest.raises(InsufficientSamples, match="replication 0"):
         run_replications(cfg)
+
+
+class _TwoPartError(Exception):
+    def __init__(self, what, where):
+        super().__init__(f"{what} at {where}")
+
+
+@pytest.mark.parametrize(
+    "error",
+    [_TwoPartError("boom", "step 3"), UnicodeDecodeError("utf-8", b"\xff", 0, 1, "bad byte")],
+)
+def test_replication_errors_need_not_take_one_message(monkeypatch, error):
+    # neither type can be rebuilt from a message alone
+    def fail(cfg, plan, stream_id):
+        raise error
+
+    monkeypatch.setattr(harness, "_one_replication", fail)
+    with pytest.raises(RuntimeError, match="replication 0") as info:
+        run_replications(base_config(replications=2), workers=1)
+    assert info.value.__cause__ is error
 
 
 def test_exponential_estimator_on_constant_payoff():
@@ -442,3 +470,60 @@ def test_asian_kernel_and_fd_agree():
     assert source == "high_n_fd"
     se_f = sd_f / math.sqrt(reps)
     assert abs(mean_f - ref) <= 6.0 * se_f
+
+
+# -- streamed Asian replications ------------------------------------------------
+
+
+@pytest.mark.parametrize("estimator_id, antithetic", [("uniform", False), ("hat", True),
+                                                      ("fd", False)])
+def test_streamed_asian_replication_matches_one_full_draw(estimator_id, antithetic):
+    # n spans more than two row blocks of 50 steps
+    asian = AsianConfig(steps=50)
+    n = 12_000
+    cfg = base_config(estimator_id=estimator_id, asian=asian, n_samples=n, antithetic=antithetic)
+    plan = resolve_run(cfg)
+    rng = stream(cfg.seed, 3)
+    if estimator_id == "fd":
+        gauss = rng.standard_normal((n, asian.steps))
+        fd = FdConfig(alpha=cfg.fd_alpha, bump=cfg.fd_eps)
+        want = estimate_finite_difference(PAPER, cfg.payoff, fd, gauss, asian=asian).value
+    else:
+        m = n // 2 if antithetic else n
+        offsets = plan.randomizer.sample_offsets(rng.random(m))
+        gauss = rng.standard_normal((m, asian.steps))
+
+        def estimate(lams):
+            states = simulate_asian(PAPER, asian, gauss, spot=lams)
+            ss = SampleSet(120.0, lams, states, cfg.payoff(states), randomizer=plan.randomizer,
+                           state_kind="asian")
+            if estimator_id == "uniform":
+                return estimate_uniform_opt(ss, plan.kernel, plan.h).value
+            ec = EstimatorConfig(kernel=plan.kernel, bandwidth=plan.h, randomizer=plan.randomizer)
+            return estimate_single_kernel_hat(ss, ec).value
+
+        want = estimate(120.0 - offsets)
+        if antithetic:
+            want = 0.5 * (want + estimate(120.0 + offsets))
+    assert _one_replication(cfg, plan, 3) == want
+
+
+def test_asian_lr_has_no_score():
+    cfg = base_config(estimator_id="lr", asian=AsianConfig(steps=4), n_samples=100,
+                      replications=2)
+    with pytest.raises(ScoreUnavailable, match="replication 0"):
+        run_replications(cfg, workers=1)
+
+
+@pytest.mark.parametrize("steps", [50, 200])
+def test_asian_replication_memory_is_bounded(steps):
+    # the full (N, steps) arrays would take 38 MiB each at steps = 50
+    cfg = base_config(asian=AsianConfig(steps=steps), n_samples=100_000)
+    plan = resolve_run(cfg)
+    tracemalloc.start()
+    try:
+        _one_replication(cfg, plan, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20

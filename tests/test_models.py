@@ -29,8 +29,11 @@ from kernelgreeks import (
     simulate_asian,
     simulate_terminal,
     standardized_d,
+    stream,
     vanilla_call,
 )
+from kernelgreeks import models
+from kernelgreeks.models import asian_unit_averages
 
 PAPER = GbmParams(spot=120.0, rate=0.0, vol=0.2, maturity=1.0)
 
@@ -102,6 +105,26 @@ def test_asian_spot_linearity():
     gauss = np.random.default_rng(5).standard_normal((20, 8))
     unit = simulate_asian(PAPER, cfg, gauss, spot=1.0)
     assert np.array_equal(simulate_asian(PAPER, cfg, gauss, spot=50.0), 50.0 * unit)
+
+
+@pytest.mark.parametrize("steps", [1, 2, 7, 50])
+@pytest.mark.parametrize("scheme", ["trapezoid", "left"])
+def test_streamed_asian_averages_match_one_draw(monkeypatch, steps, scheme):
+    # Philox draws continue bit for bit across row blocks; None keeps the
+    # module's own block size
+    cfg = AsianConfig(steps=steps, scheme=scheme)
+    default_block = models._ASIAN_BLOCK
+    for n in (1, 3, 4095, 4097, 10001):
+        full = stream(3, 11).standard_normal((n, steps))
+        kept = full.copy()
+        want = np.atleast_1d(simulate_asian(PAPER, cfg, full, spot=1.0))
+        assert np.array_equal(full, kept)
+        for rows in (1, 5, 4096, None):
+            block = default_block if rows is None else rows * steps
+            monkeypatch.setattr(models, "_ASIAN_BLOCK", block)
+            got = asian_unit_averages(PAPER, cfg, stream(3, 11), n)
+            assert got.shape == (n,)
+            assert np.array_equal(got, want), (n, rows)
 
 
 def test_asian_flat_path_limit():
