@@ -50,6 +50,7 @@ from .errors import (
     InsufficientPilot,
     InsufficientReplications,
     InsufficientSamples,
+    NonFiniteEstimate,
     KernelGreeksError,
     MissingSecondKernel,
     NonPositiveState,
@@ -241,6 +242,7 @@ __all__ = [
     "InsufficientPilot",
     "NonPositiveVariance",
     "InsufficientReplications",
+    "NonFiniteEstimate",
     "DegenerateVarianceWarning",
     "DegenerateBiasWarning",
 ]

@@ -152,15 +152,7 @@ def _bandwidth_value(ns, parser):
 def _experiment_config(ns, parser, estimator_id: str, n: int) -> ExperimentConfig:
     if estimator_id not in ESTIMATOR_IDS:
         parser.error(f"unknown estimator {estimator_id!r}")
-    model = GbmParams(
-        spot=ns.model_spot,
-        rate=ns.model_rate,
-        vol=ns.model_vol,
-        maturity=ns.model_maturity,
-    )
-    payoff = _PAYOFFS[ns.payoff](ns.strike)
-    asian = AsianConfig(steps=ns.asian_steps) if ns.asian_steps > 0 else None
-    if asian is not None and estimator_id == "lr":
+    if ns.asian_steps > 0 and estimator_id == "lr":
         parser.error("the lr estimator needs the terminal state (drop --asian-steps)")
     randomizer_kind = (
         "truncexp"
@@ -171,6 +163,14 @@ def _experiment_config(ns, parser, estimator_id: str, n: int) -> ExperimentConfi
     if estimator_id not in KERNEL_ESTIMATORS and bandwidth == "auto":
         bandwidth = 1.0  # unused by lr/fd, but the config requires a value
     try:
+        model = GbmParams(
+            spot=ns.model_spot,
+            rate=ns.model_rate,
+            vol=ns.model_vol,
+            maturity=ns.model_maturity,
+        )
+        payoff = _PAYOFFS[ns.payoff](ns.strike)
+        asian = AsianConfig(steps=ns.asian_steps) if ns.asian_steps > 0 else None
         return ExperimentConfig(
             model=model,
             payoff=payoff,

@@ -18,6 +18,7 @@ __all__ = [
     "InsufficientPilot",
     "NonPositiveVariance",
     "InsufficientReplications",
+    "NonFiniteEstimate",
     "DegenerateVarianceWarning",
     "DegenerateBiasWarning",
 ]
@@ -81,6 +82,10 @@ class NonPositiveVariance(KernelGreeksError):
 
 class InsufficientReplications(KernelGreeksError):
     """Too few replications for the requested summary statistic."""
+
+
+class NonFiniteEstimate(KernelGreeksError, FloatingPointError):
+    """An estimator produced an infinite or NaN value."""
 
 
 class DegenerateVarianceWarning(UserWarning):

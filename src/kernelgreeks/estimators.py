@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import (
     DegenerateBandwidth,
@@ -38,6 +37,7 @@ from .errors import (
     EmptySample,
     InsufficientSamples,
     MissingSecondKernel,
+    NonFiniteEstimate,
     OutsideSupport,
     RandomizerMismatch,
     ScoreUnavailable,
@@ -105,10 +105,7 @@ class SampleSet:
         if self.state_kind not in ("terminal", "asian"):
             raise ValueError(f"unknown state_kind {self.state_kind!r}")
         if self.randomizer is not None and lam.size:
-            off = np.abs(self.lambda0 - lam)
-            # np.max propagates a NaN offset, which then fails the test
-            if not np.max(off) <= self.randomizer.epsilon * (1.0 + 1e-12):
-                raise OutsideSupport("a draw lies outside the randomizer support or is not finite")
+            _require_support(self.lambda0 - lam, self.randomizer)
 
     @property
     def n(self) -> int:
@@ -146,10 +143,19 @@ class FdConfig:
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
-        if self.bump <= 0.0:
-            raise DegenerateBump("bump must be positive")
+        if not 0.0 < self.bump < math.inf:
+            raise DegenerateBump(f"bump must be positive and finite, got {self.bump!r}")
         if not self.common_randoms:
             raise ValueError("independent-draw finite differences are not supported")
+
+
+def _require_support(offsets: np.ndarray, randomizer: Randomizer) -> None:
+    """Raise unless every offset lambda0 - Lambda_i lies in the support."""
+    # the largest |offset|, without a temporary; np.max and np.min propagate
+    # a NaN offset, which then fails the test
+    largest = np.maximum(np.max(offsets), -np.min(offsets))
+    if not largest <= randomizer.epsilon * (1.0 + 1e-12):
+        raise OutsideSupport("a draw lies outside the randomizer support or is not finite")
 
 
 def _require_draws(samples: SampleSet) -> None:
@@ -163,11 +169,11 @@ def _require_bandwidth(h: float) -> float:
     return float(h)
 
 
-def _resolve_randomizer(samples: SampleSet, config: EstimatorConfig) -> Randomizer:
-    cand = config.randomizer if config.randomizer is not None else samples.randomizer
+def _resolve_randomizer(gen: Randomizer | None, config: EstimatorConfig) -> Randomizer:
+    """The config's randomizer, else the generating one ``gen``; both must agree."""
+    cand = config.randomizer if config.randomizer is not None else gen
     if cand is None:
         raise RandomizerMismatch("no randomizer available on the config or the sample set")
-    gen = samples.randomizer
     if gen is not None and (
         gen.kind != cand.kind
         or abs(gen.epsilon - cand.epsilon) > 1e-12 * max(1.0, gen.epsilon)
@@ -179,23 +185,45 @@ def _resolve_randomizer(samples: SampleSet, config: EstimatorConfig) -> Randomiz
     return cand
 
 
-def _finite(value: float, estimator_id: str) -> float:
-    if not np.isfinite(value):
-        raise FloatingPointError(f"{estimator_id} produced a non-finite value")
-    return float(value)
+def _finite(values, estimator_id: str):
+    """The values, after checking that every one is finite."""
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteEstimate(f"{estimator_id} produced a non-finite value")
+    return values
+
+
+# The *_rows functions below hold each estimator's formula once. They take
+# the payoffs and the offsets lambda0 - Lambda_i with the draws along the
+# last axis, so a (B, N) block yields B estimates; every row is reduced in
+# the same operation order as a single (N,) sample set, so both give the
+# same bits. The public estimators call them with one row. The sums are
+# formed in place on the kernel values, which spares a temporary per term.
+
+
+def _single_kernel_rows(
+    gen: Randomizer | None, config: EstimatorConfig, payoffs, offsets, at_zero: bool
+) -> np.ndarray:
+    h = _require_bandwidth(config.bandwidth)
+    r = _resolve_randomizer(gen, config)
+    kernel = config.kernel
+    u = offsets / h
+    grad_log = r.grad_log_density(0.0) if at_zero else r.grad_log_density(offsets)
+    # payoffs * (K'(u) + h * K(u) * grad_log)
+    terms = kernel.gradient(u)
+    weight = kernel(u)
+    weight *= h
+    weight *= grad_log
+    terms += weight
+    terms *= payoffs
+    return np.sum(terms, axis=-1) / (r.density_at_zero() * payoffs.shape[-1] * h * h)
 
 
 def _single_kernel(samples: SampleSet, config: EstimatorConfig, at_zero: bool, tag: str) -> Estimate:
     _require_draws(samples)
-    h = _require_bandwidth(config.bandwidth)
-    r = _resolve_randomizer(samples, config)
-    kernel = config.kernel
-    offsets = samples.lambda0 - samples.lambdas
-    u = offsets / h
-    grad_log = r.grad_log_density(0.0) if at_zero else r.grad_log_density(offsets)
-    terms = samples.payoffs * (kernel.gradient(u) + h * kernel(u) * grad_log)
-    value = float(np.sum(terms)) / (r.density_at_zero() * samples.n * h * h)
-    return Estimate(_finite(value, tag), samples.n, tag)
+    value = _single_kernel_rows(
+        samples.randomizer, config, samples.payoffs, samples.lambda0 - samples.lambdas, at_zero
+    )
+    return Estimate(float(_finite(value, tag)), samples.n, tag)
 
 
 def estimate_single_kernel_hat(samples: SampleSet, config: EstimatorConfig) -> Estimate:
@@ -208,10 +236,9 @@ def estimate_single_kernel_check(samples: SampleSet, config: EstimatorConfig) ->
     return _single_kernel(samples, config, at_zero=True, tag="check")
 
 
-def _coupled_epsilon(samples: SampleSet, kernel: Kernel, h: float, kind: str) -> float:
+def _coupled_epsilon(gen: Randomizer | None, kernel: Kernel, h: float, kind: str) -> float:
     """Support radius for the optimized estimators; must cover M*h."""
     needed = kernel.support_radius * h
-    gen = samples.randomizer
     if gen is None:
         return needed
     if gen.kind != kind:
@@ -223,23 +250,27 @@ def _coupled_epsilon(samples: SampleSet, kernel: Kernel, h: float, kind: str) ->
     return gen.epsilon
 
 
+def _uniform_rows(gen: Randomizer | None, kernel: Kernel, bandwidth: float, payoffs, offsets):
+    h = _require_bandwidth(bandwidth)
+    eps = _coupled_epsilon(gen, kernel, h, "uniform")
+    terms = kernel.gradient(offsets / h)
+    terms *= payoffs
+    return 2.0 * eps * np.sum(terms, axis=-1) / (payoffs.shape[-1] * h * h)
+
+
 def estimate_uniform_opt(samples: SampleSet, kernel: Kernel, bandwidth: float) -> Estimate:
     """Optimized uniform-randomization estimator, support coupled as eps = M h."""
     _require_draws(samples)
-    h = _require_bandwidth(bandwidth)
-    eps = _coupled_epsilon(samples, kernel, h, "uniform")
-    terms = samples.payoffs * kernel.gradient((samples.lambda0 - samples.lambdas) / h)
-    value = 2.0 * eps * float(np.sum(terms)) / (samples.n * h * h)
-    return Estimate(_finite(value, "uniform"), samples.n, "uniform")
+    value = _uniform_rows(
+        samples.randomizer, kernel, bandwidth, samples.payoffs, samples.lambda0 - samples.lambdas
+    )
+    return Estimate(float(_finite(value, "uniform")), samples.n, "uniform")
 
 
-def estimate_exponential_opt(
-    samples: SampleSet, kernel: Kernel, bandwidth: float, theta: float | None = None
-) -> Estimate:
-    """Optimized exponential-randomization estimator; theta = 0 is the uniform one."""
-    _require_draws(samples)
+def _exponential_rows(
+    gen: Randomizer | None, kernel: Kernel, bandwidth: float, theta: float | None, payoffs, offsets
+):
     h = _require_bandwidth(bandwidth)
-    gen = samples.randomizer
     if theta is None:
         if gen is None:
             raise RandomizerMismatch("theta not given and the sample set carries no randomizer")
@@ -249,12 +280,28 @@ def estimate_exponential_opt(
         raise RandomizerMismatch("uniform samples require theta = 0")
     if gen is not None and abs(gen.theta - theta) > 1e-12 * max(1.0, abs(theta)):
         raise RandomizerMismatch(f"theta {theta} disagrees with the generating tilt {gen.theta}")
-    eps = _coupled_epsilon(samples, kernel, h, kind)
+    eps = _coupled_epsilon(gen, kernel, h, kind)
     ell0 = Randomizer(kind="truncexp", epsilon=eps, theta=theta).density_at_zero()
-    u = (samples.lambda0 - samples.lambdas) / h
-    terms = samples.payoffs * (kernel.gradient(u) + theta * h * kernel(u))
-    value = float(np.sum(terms)) / (ell0 * samples.n * h * h)
-    return Estimate(_finite(value, "exponential"), samples.n, "exponential")
+    u = offsets / h
+    # payoffs * (K'(u) + theta * h * K(u))
+    terms = kernel.gradient(u)
+    weight = kernel(u)
+    weight *= theta * h
+    terms += weight
+    terms *= payoffs
+    return np.sum(terms, axis=-1) / (ell0 * payoffs.shape[-1] * h * h)
+
+
+def estimate_exponential_opt(
+    samples: SampleSet, kernel: Kernel, bandwidth: float, theta: float | None = None
+) -> Estimate:
+    """Optimized exponential-randomization estimator; theta = 0 is the uniform one."""
+    _require_draws(samples)
+    value = _exponential_rows(
+        samples.randomizer, kernel, bandwidth, theta, samples.payoffs,
+        samples.lambda0 - samples.lambdas,
+    )
+    return Estimate(float(_finite(value, "exponential")), samples.n, "exponential")
 
 
 def estimate_double_kernel(samples: SampleSet, config: EstimatorConfig) -> Estimate:
@@ -286,7 +333,7 @@ def _double_kernel(samples: SampleSet, config: EstimatorConfig, pair_sums) -> tu
         raise MissingSecondKernel("double-kernel estimation needs a state-dimension kernel")
     h = _require_bandwidth(config.bandwidth)
     kernel, second = config.kernel, config.second_kernel
-    r = _resolve_randomizer(samples, config)
+    r = _resolve_randomizer(samples.randomizer, config)
     n = samples.n
 
     order = np.argsort(samples.states, kind="stable")
@@ -310,7 +357,7 @@ def _double_kernel(samples: SampleSet, config: EstimatorConfig, pair_sums) -> tu
     weights = kernel((samples.lambda0 - lam) / h)
     total = float(np.sum(np.where(keep, phi * score_hat * weights, 0.0)))
     value = total / (r.density_at_zero() * n * h)
-    return Estimate(_finite(value, "double"), n, "double"), int(n - np.count_nonzero(keep))
+    return Estimate(float(_finite(value, "double")), n, "double"), int(n - np.count_nonzero(keep))
 
 
 def _window_bounds(x: np.ndarray, h: float, radius: float) -> tuple[np.ndarray, np.ndarray]:
@@ -394,7 +441,7 @@ def _double_kernel_moments(lam, z, h, kernel, second) -> tuple[np.ndarray, np.nd
     dk, dh = len(kernel.coeffs) - 1, len(second.coeffs) - 1
     width = (dk + 1) * (dh + 1)
     shift_k = _shift_matrix(kernel.coeffs, dk).T
-    shift_grad = _shift_matrix(npoly.polyder(kernel.coeffs), dk).T
+    shift_grad = _shift_matrix(kernel._gradient_coeffs, dk).T
     shift_h = _shift_matrix(second.coeffs, dh).T
 
     def powers(offsets, degree):
@@ -487,23 +534,37 @@ def estimate_oracle_score(
     config.
     """
     _require_draws(samples)
-    if samples.state_kind != "terminal":
-        raise ScoreUnavailable("no closed-form score for the averaged state")
-    law = lognormal_params(model)
     if not localized:
-        svals = law_standardized_d(law, samples.lambda0, samples.states) / samples.lambda0
-        value = float(np.mean(samples.payoffs * svals))
-        return Estimate(_finite(value, "lr"), samples.n, "lr")
+        value = _likelihood_ratio_rows(
+            model, samples.state_kind, samples.lambda0, samples.states, samples.payoffs
+        )
+        return Estimate(float(_finite(value, "lr")), samples.n, "lr")
+    _require_score(samples.state_kind)
+    law = lognormal_params(model)
     if config is None:
         raise ValueError("localized score estimation needs an EstimatorConfig")
     h = _require_bandwidth(config.bandwidth)
-    r = _resolve_randomizer(samples, config)
+    r = _resolve_randomizer(samples.randomizer, config)
     svals = law_standardized_d(law, samples.lambdas, samples.states) / samples.lambdas
     weights = config.kernel((samples.lambda0 - samples.lambdas) / h)
     value = float(np.sum(samples.payoffs * svals * weights)) / (
         r.density_at_zero() * samples.n * h
     )
-    return Estimate(_finite(value, "oracle"), samples.n, "oracle")
+    return Estimate(float(_finite(value, "oracle")), samples.n, "oracle")
+
+
+def _require_score(state_kind: str) -> None:
+    if state_kind != "terminal":
+        raise ScoreUnavailable("no closed-form score for the averaged state")
+
+
+def _likelihood_ratio_rows(model: GbmParams, state_kind: str, lambda0: float, states, payoffs):
+    """The likelihood-ratio averages (1/N) sum phi(Z_i) s(lambda0, Z_i) over
+    the last axis of draws made at the fixed spot lambda0."""
+    _require_score(state_kind)
+    law = lognormal_params(model)
+    svals = law_standardized_d(law, lambda0, states) / lambda0
+    return np.mean(payoffs * svals, axis=-1)
 
 
 def estimate_finite_difference(
@@ -529,17 +590,16 @@ def estimate_finite_difference(
         base = simulate_terminal(model, gauss, spot=1.0)
     else:
         base = np.atleast_1d(simulate_asian(model, asian, gauss, spot=1.0))
-    return _finite_difference_at_unit_spot(model, payoff, fd, base)
+    value = _finite_difference_rows(model, payoff, fd, base)
+    return Estimate(float(_finite(value, "fd")), base.size, "fd")
 
 
-def _finite_difference_at_unit_spot(
-    model: GbmParams, payoff: Payoff, fd: FdConfig, base: np.ndarray
-) -> Estimate:
-    """Bump-and-reprice from the (N,) unit-spot states: states are linear in
-    the spot, so both bumped spots scale the same ``base``."""
+def _finite_difference_rows(model: GbmParams, payoff: Payoff, fd: FdConfig, base):
+    """Bump-and-reprice from the unit-spot states ``base``, draws along the
+    last axis: states are linear in the spot, so both bumped spots scale
+    the same ``base``."""
     up = model.spot + fd.alpha * fd.bump
     down = model.spot - (1.0 - fd.alpha) * fd.bump
     if down <= 0.0:
         raise DegenerateBump(f"downward bump crosses zero spot: {down}")
-    value = float(np.mean(payoff(up * base) - payoff(down * base))) / fd.bump
-    return Estimate(_finite(value, "fd"), base.size, "fd")
+    return np.mean(payoff(up * base) - payoff(down * base), axis=-1) / fd.bump

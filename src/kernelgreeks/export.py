@@ -2,7 +2,9 @@
 
 Every real is written with 17 significant digits so a run can be
 byte-compared against a rerun of the same config. The one exception is
-the runtime_ms column of the raw CSV, which measures wall time.
+the runtime_ms column of the raw CSV, which measures wall time: a
+replication evaluated in a block of B replications gets the block's
+wall time divided by B, so rows of one block share a value.
 
 Formats
 -------

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import os
+import queue
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -25,13 +26,16 @@ from .estimators import (
     FdConfig,
     SampleSet,
     estimate_double_kernel,
-    estimate_exponential_opt,
-    estimate_oracle_score,
-    estimate_single_kernel_check,
-    estimate_single_kernel_hat,
-    estimate_uniform_opt,
 )
-from .estimators import _finite_difference_at_unit_spot
+from .estimators import (
+    _exponential_rows,
+    _finite,
+    _finite_difference_rows,
+    _likelihood_ratio_rows,
+    _require_support,
+    _single_kernel_rows,
+    _uniform_rows,
+)
 from .kernels import Kernel, builtin_kernel
 from .models import (
     AsianConfig,
@@ -44,7 +48,7 @@ from .models import (
     simulate_terminal,
 )
 from .randomizers import Randomizer
-from .rng import PILOT_OFFSET, STREAM_REFERENCE, stream, sweep_base
+from .rng import PILOT_OFFSET, STREAM_REFERENCE, replication_ids, stream, sweep_base
 
 __all__ = [
     "ExperimentConfig",
@@ -83,6 +87,13 @@ _REFERENCE_CHUNK = 200_000
 #: candidate bumps for the reference, as fractions of spot
 _FD_BUMP_FRACTIONS = (0.0025, 0.005, 0.01, 0.02, 0.04, 0.08)
 
+#: array elements (rows x draws) per block of replications: a block of
+#: max(1, _BLOCK_ELEMENTS // N) replications is evaluated in one pass over
+#: (rows, N) arrays, which amortizes the per-call cost of numpy at small N.
+#: Of 2^14 .. 2^17, 2^16 was fastest with two threads at N = 1000 .. 10^4
+#: and within noise of the best with one (BENCH_replication_blocks.json).
+_BLOCK_ELEMENTS = 2**16
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -118,13 +129,19 @@ class ExperimentConfig:
             raise ValueError("need n_samples >= 1 and replications >= 1")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
+        # the replications of a run must fit in one block of stream ids
+        replication_ids(0, self.replications)
         if isinstance(self.bandwidth, str):
             if self.bandwidth != "auto":
                 raise ValueError("bandwidth must be 'auto' or a positive number")
             if self.estimator_id not in KERNEL_ESTIMATORS:
                 raise ValueError("automatic bandwidth needs a kernel estimator")
-        elif self.bandwidth <= 0.0:
-            raise ValueError("fixed bandwidth must be positive")
+        elif not 0.0 < self.bandwidth < math.inf:
+            raise ValueError(f"fixed bandwidth must be positive and finite, got {self.bandwidth!r}")
+        for name in ("theta", "fd_alpha", "fd_eps"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.randomizer_kind not in ("uniform", "truncexp"):
             raise ValueError(f"unknown randomizer kind {self.randomizer_kind!r}")
         if self.antithetic:
@@ -245,7 +262,9 @@ def resolve_run(cfg: ExperimentConfig, stream_base: int = 0) -> _RunPlan:
     return _RunPlan(kernel, second, h, theta, randomizer, pilot, choice)
 
 
-def _kernel_estimate(cfg: ExperimentConfig, plan: _RunPlan, lams: np.ndarray, states_at) -> float:
+def _double_kernel_estimate(
+    cfg: ExperimentConfig, plan: _RunPlan, lams: np.ndarray, states_at
+) -> float:
     states = states_at(lams)
     phi = cfg.payoff(states)
     state_kind = "terminal" if cfg.asian is None else "asian"
@@ -257,49 +276,100 @@ def _kernel_estimate(cfg: ExperimentConfig, plan: _RunPlan, lams: np.ndarray, st
         randomizer=plan.randomizer,
         state_kind=state_kind,
     )
-    eid = cfg.estimator_id
-    if eid == "uniform":
-        return estimate_uniform_opt(ss, plan.kernel, plan.h).value
-    if eid == "exponential":
-        return estimate_exponential_opt(ss, plan.kernel, plan.h, plan.theta).value
     ec = EstimatorConfig(
         kernel=plan.kernel,
         bandwidth=plan.h,
         randomizer=plan.randomizer,
         second_kernel=plan.second_kernel,
     )
-    if eid == "hat":
-        return estimate_single_kernel_hat(ss, ec).value
-    if eid == "check":
-        return estimate_single_kernel_check(ss, ec).value
     return estimate_double_kernel(ss, ec).value
 
 
 def _one_replication(cfg: ExperimentConfig, plan: _RunPlan, stream_id: int) -> float:
+    """Replication ``stream_id`` on its own. The double kernel does not
+    reduce row by row and always runs here; every other estimator runs as
+    a block of one row."""
+    if cfg.estimator_id != "double":
+        draws, unit = np.empty((2, 1, _draws_per_row(cfg)))
+        return float(_evaluate_block(cfg, plan, stream_id, draws, unit)[0])
     rng = stream(cfg.seed, stream_id)
     spot = cfg.model.spot
-    if cfg.estimator_id == "fd":
-        fd = FdConfig(alpha=cfg.fd_alpha, bump=cfg.fd_eps)
-        base = _draw_states(cfg, rng, cfg.n_samples)(1.0)
-        return _finite_difference_at_unit_spot(cfg.model, cfg.payoff, fd, base).value
-    if cfg.estimator_id == "lr":
-        states = _draw_states(cfg, rng, cfg.n_samples)(spot)
-        ss = SampleSet(
-            lambda0=spot,
-            lambdas=np.full(cfg.n_samples, spot),
-            states=states,
-            payoffs=cfg.payoff(states),
-            state_kind="terminal" if cfg.asian is None else "asian",
-        )
-        return estimate_oracle_score(ss, cfg.model).value
-    n = cfg.n_samples // 2 if cfg.antithetic else cfg.n_samples
+    n = _draws_per_row(cfg)
     offsets = plan.randomizer.sample_offsets(rng.random(n))
     states_at = _draw_states(cfg, rng, n)
-    value = _kernel_estimate(cfg, plan, spot - offsets, states_at)
+    value = _double_kernel_estimate(cfg, plan, spot - offsets, states_at)
     if not cfg.antithetic:
         return value
-    mirrored = _kernel_estimate(cfg, plan, spot + offsets, states_at)
+    mirrored = _double_kernel_estimate(cfg, plan, spot + offsets, states_at)
     return 0.5 * (value + mirrored)
+
+
+def _draws_per_row(cfg: ExperimentConfig) -> int:
+    """Draws of one replication: antithetic pairs share theirs."""
+    return cfg.n_samples // 2 if cfg.antithetic else cfg.n_samples
+
+
+def _evaluate_block(
+    cfg: ExperimentConfig, plan: _RunPlan, first_id: int, draws: np.ndarray, unit: np.ndarray
+) -> np.ndarray:
+    """The estimates of replications first_id .. first_id + rows - 1.
+
+    ``draws`` and ``unit`` are (rows, n) arrays that receive each row's
+    uniforms and unit-spot states. Each row draws from its own stream
+    exactly what a lone replication draws, in the same order; the
+    arithmetic then runs once over the whole block, in place where it can,
+    and every row is reduced in the same operation order as a lone
+    replication, so the estimates are the same bits. A check that fails
+    raises for the whole block.
+    """
+    eid = cfg.estimator_id
+    spot = cfg.model.spot
+    rows, n = unit.shape
+    for j in range(rows):
+        rng = stream(cfg.seed, first_id + j)
+        if plan.randomizer is not None:
+            rng.random(out=draws[j])
+        if cfg.asian is None:
+            rng.standard_normal(out=unit[j])
+        else:
+            asian_unit_averages(cfg.model, cfg.asian, rng, n, out=unit[j])
+    if cfg.asian is None:
+        # states are linear in the spot; these are the states at spot 1
+        simulate_terminal(cfg.model, unit, spot=1.0, out=unit)
+    if eid == "fd":
+        fd = FdConfig(alpha=cfg.fd_alpha, bump=cfg.fd_eps)
+        return _finite(_finite_difference_rows(cfg.model, cfg.payoff, fd, unit), eid)
+    if eid == "lr":
+        states = np.multiply(unit, spot, out=unit)
+        kind = "terminal" if cfg.asian is None else "asian"
+        return _finite(
+            _likelihood_ratio_rows(cfg.model, kind, spot, states, cfg.payoff(states)), eid
+        )
+    offsets = plan.randomizer.sample_offsets(draws, out=draws)
+    mirrored = offsets + spot if cfg.antithetic else None
+    # the spots overwrite the offsets, which no longer serve
+    lams = np.subtract(spot, offsets, out=offsets)
+    values = _finite(_kernel_rows(cfg, plan, lams, unit), eid)
+    if mirrored is None:
+        return values
+    other = _finite(_kernel_rows(cfg, plan, mirrored, unit), eid)
+    return 0.5 * (values + other)
+
+
+def _kernel_rows(cfg: ExperimentConfig, plan: _RunPlan, lams, unit) -> np.ndarray:
+    """The single-kernel estimates of draws at spots ``lams``, one per row;
+    ``lams`` is overwritten with the offsets spot - lams."""
+    states = np.multiply(lams, unit)
+    payoffs = cfg.payoff(states, out=states)
+    offsets = np.subtract(cfg.model.spot, lams, out=lams)
+    _require_support(offsets, plan.randomizer)
+    eid = cfg.estimator_id
+    if eid == "uniform":
+        return _uniform_rows(plan.randomizer, plan.kernel, plan.h, payoffs, offsets)
+    if eid == "exponential":
+        return _exponential_rows(plan.randomizer, plan.kernel, plan.h, plan.theta, payoffs, offsets)
+    ec = EstimatorConfig(kernel=plan.kernel, bandwidth=plan.h, randomizer=plan.randomizer)
+    return _single_kernel_rows(plan.randomizer, ec, payoffs, offsets, eid == "check")
 
 
 def _with_index(exc: Exception, j: int) -> Exception:
@@ -326,33 +396,65 @@ def run_replications(
 
     Replication j always consumes stream ``stream_base + j``, and the
     output array is indexed by j, so the result does not depend on the
-    worker count. Estimator errors are re-raised with the replication
-    index prepended and the original chained.
+    worker count. Except for the double kernel, replications run in blocks
+    of max(1, 2^16 // N) rows, and each row's ``runtime_ms`` is its block's
+    wall time divided by the block's rows. Estimator errors are re-raised
+    with the index of the first failing replication prepended and the
+    original chained.
     """
+    ids = replication_ids(stream_base, cfg.replications)
     plan = resolve_run(cfg, stream_base)
     r_count = cfg.replications
     estimates = np.empty(r_count)
     runtimes = np.empty(r_count)
+    n = _draws_per_row(cfg)
+    rows = 1 if cfg.estimator_id == "double" else max(1, _BLOCK_ELEMENTS // n)
+    starts = range(0, r_count, rows)
+    w = _default_workers() if workers is None else max(1, workers)
+    w = min(w, len(starts))
+    # one pair of (rows, n) draw buffers per worker, allocated here once;
+    # a block borrows a pair for as long as it runs
+    free = queue.SimpleQueue()
+    if cfg.estimator_id != "double":
+        for _ in range(w):
+            free.put((np.empty((rows, n)), np.empty((rows, n))))
 
-    def job(j: int) -> tuple[float, float]:
+    def evaluate(start: int, count: int) -> np.ndarray:
+        if cfg.estimator_id == "double":
+            return np.array([_one_replication(cfg, plan, ids[start])])
+        draws, unit = free.get()
+        try:
+            return _evaluate_block(cfg, plan, ids[start], draws[:count], unit[:count])
+        finally:
+            free.put((draws, unit))
+
+    def job(start: int) -> tuple[int, np.ndarray, float]:
+        count = min(rows, r_count - start)
         t0 = time.perf_counter()
         try:
-            value = _one_replication(cfg, plan, stream_base + j)
+            values = evaluate(start, count)
         except Exception as exc:
-            raise _with_index(exc, j) from exc
-        return value, (time.perf_counter() - t0) * 1e3
+            failed, error = start, exc
+            if count > 1:  # name the first replication that fails on its own
+                for j in range(start, start + count):
+                    try:
+                        evaluate(j, 1)
+                    except Exception as alone:
+                        failed, error = j, alone
+                        break
+            raise _with_index(error, failed) from error
+        return start, values, (time.perf_counter() - t0) * 1e3 / count
 
-    w = _default_workers() if workers is None else max(1, workers)
-    if w == 1 or r_count == 1:
-        results = map(job, range(r_count))
-        for j, (value, ms) in enumerate(results):
-            estimates[j] = value
-            runtimes[j] = ms
+    def collect(results) -> None:
+        for start, values, ms in results:
+            estimates[start : start + values.size] = values
+            runtimes[start : start + values.size] = ms
+
+    if w == 1:
+        collect(map(job, starts))
     else:
         with ThreadPoolExecutor(max_workers=w) as pool:
-            for j, (value, ms) in enumerate(pool.map(job, range(r_count))):
-                estimates[j] = value
-                runtimes[j] = ms
+            collect(pool.map(job, starts))
     if plan.randomizer is None:
         epsilon = cfg.fd_eps if cfg.estimator_id == "fd" else None
     else:

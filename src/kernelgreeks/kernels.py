@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -81,13 +82,7 @@ class Kernel:
 
     def __call__(self, u):
         """Evaluate K(u); zero outside the closed support."""
-        u = np.asarray(u, dtype=float)
-        inside = np.abs(u) <= self.support_radius
-        if self.coeffs is not None:
-            vals = np.where(inside, npoly.polyval(u, self.coeffs), 0.0)
-        else:
-            vals = np.where(inside, self.func(u), 0.0)
-        return float(vals) if vals.ndim == 0 else vals
+        return self._evaluate(u, self.coeffs, self.func)
 
     def gradient(self, u):
         """Evaluate dK/du; zero outside the closed support.
@@ -96,14 +91,27 @@ class Kernel:
         (interior) derivative is returned, e.g. 3.75 for the order-4
         family at u = 1.
         """
+        return self._evaluate(u, self._gradient_coeffs, self.grad)
+
+    @cached_property
+    def _gradient_coeffs(self) -> np.ndarray | None:
+        return None if self.coeffs is None else npoly.polyder(self.coeffs)
+
+    def _evaluate(self, u, coeffs, func):
         u = np.asarray(u, dtype=float)
-        inside = np.abs(u) <= self.support_radius
-        if self.coeffs is not None:
-            dcoeffs = npoly.polyder(self.coeffs)
-            vals = np.where(inside, npoly.polyval(u, dcoeffs), 0.0)
+        out = np.empty_like(u)
+        outside = ~(np.abs(u, out=out) <= self.support_radius)  # NaN too
+        if coeffs is not None:
+            # Horner's rule in place, in numpy.polynomial.polyval's order
+            np.multiply(u, 0.0, out=out)
+            out += coeffs[-1]
+            for c in coeffs[-2::-1]:
+                out *= u
+                out += c
         else:
-            vals = np.where(inside, self.grad(u), 0.0)
-        return float(vals) if vals.ndim == 0 else vals
+            out[...] = func(u)
+        np.copyto(out, 0.0, where=outside)
+        return float(out) if out.ndim == 0 else out
 
     def moment(self, r: int) -> float:
         """Integral of u^r K(u) over the support (r = 0 gives the mass)."""
@@ -193,7 +201,7 @@ def kernel_moment(kernel: Kernel, r: int) -> float:
 def kernel_roughness(kernel: Kernel) -> float:
     """Integral of (dK/du)^2 du, exact for polynomial kernels."""
     if kernel.coeffs is not None:
-        d = npoly.polyder(kernel.coeffs)
+        d = kernel._gradient_coeffs
         return _polynomial_moment(npoly.polymul(d, d), kernel.support_radius, 0)
     return gauss_legendre_integral(
         lambda u: kernel.grad(u) ** 2, -kernel.support_radius, kernel.support_radius

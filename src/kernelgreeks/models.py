@@ -63,12 +63,12 @@ class GbmParams:
     maturity: float
 
     def __post_init__(self):
-        if self.spot <= 0.0:
-            raise NonPositiveState("spot must be positive")
-        if self.vol <= 0.0:
-            raise NonPositiveState("vol must be positive")
-        if self.maturity <= 0.0:
-            raise NonPositiveState("maturity must be positive")
+        for name in ("spot", "vol", "maturity"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise NonPositiveState(f"{name} must be positive and finite, got {value!r}")
+        if not math.isfinite(self.rate):
+            raise ValueError(f"rate must be finite, got {self.rate!r}")
 
 
 @dataclass(frozen=True)
@@ -105,16 +105,23 @@ def lognormal_params(g: GbmParams) -> LognormalLaw:
     )
 
 
-def simulate_terminal(g: GbmParams, gauss, spot=None):
+def simulate_terminal(g: GbmParams, gauss, spot=None, out=None):
     """Terminal state from standard-normal draws: spot * exp(m + sqrt(Sigma) g).
 
     ``spot`` overrides g.spot (scalar or array broadcastable against gauss),
     which is how randomized and bumped parameters are simulated off shared
-    noise.
+    noise. ``out``, when given, is a float array of the result's shape that
+    receives the states; it may be gauss itself.
     """
     law = lognormal_params(g)
     x = g.spot if spot is None else spot
-    out = np.asarray(x) * np.exp(law.m + math.sqrt(law.Sigma) * np.asarray(gauss, dtype=float))
+    gauss = np.asarray(gauss, dtype=float)
+    if out is None:
+        out = np.empty(np.broadcast_shapes(np.shape(x), gauss.shape))
+    np.multiply(gauss, math.sqrt(law.Sigma), out=out)
+    out += law.m
+    np.exp(out, out=out)
+    out *= x
     return float(out) if out.ndim == 0 else out
 
 
@@ -148,7 +155,7 @@ def simulate_asian(g: GbmParams, cfg: AsianConfig, gauss_path, spot=None):
 
 
 def asian_unit_averages(
-    g: GbmParams, cfg: AsianConfig, rng: np.random.Generator, n: int
+    g: GbmParams, cfg: AsianConfig, rng: np.random.Generator, n: int, out=None
 ) -> np.ndarray:
     """Unit-spot averages of n paths whose normals are drawn from rng.
 
@@ -156,11 +163,13 @@ def asian_unit_averages(
     elements into one reused buffer, so memory does not grow with n. A
     Philox stream continues bit for bit across draws, so the result equals
     ``simulate_asian(g, cfg, rng.standard_normal((n, cfg.steps)), spot=1.0)``
-    exactly; multiply it by a spot to get the states at that spot.
+    exactly; multiply it by a spot to get the states at that spot. ``out``,
+    when given, is an (n,) float array that receives the averages.
     """
     rows = max(1, min(n, _ASIAN_BLOCK // cfg.steps))
     block = np.empty((rows, cfg.steps))
-    out = np.empty(n)
+    if out is None:
+        out = np.empty(n)
     for start in range(0, n, rows):
         part = block[: min(rows, n - start)]
         rng.standard_normal(out=part)
@@ -271,19 +280,26 @@ class Payoff:
     def __post_init__(self):
         if self.kind not in ("digital", "vanilla", "identity", "constant"):
             raise ValueError(f"unknown payoff kind {self.kind!r}")
+        if not (math.isfinite(self.strike) and math.isfinite(self.const)):
+            raise ValueError(f"strike and const must be finite, got {self.strike!r}, {self.const!r}")
         if self.kind in ("digital", "vanilla") and self.strike < 0.0:
             raise ValueError("strike must be non-negative")
 
-    def __call__(self, z):
+    def __call__(self, z, out=None):
+        """The payoffs of states z; ``out``, when given, is a float array
+        shaped like z that receives them and may be z itself."""
         z = np.asarray(z, dtype=float)
+        if out is None:
+            out = np.empty_like(z)
         if self.kind == "digital":
-            out = (z > self.strike).astype(float)
+            np.greater(z, self.strike, out=out)
         elif self.kind == "vanilla":
-            out = np.maximum(z - self.strike, 0.0)
+            np.subtract(z, self.strike, out=out)
+            np.maximum(out, 0.0, out=out)
         elif self.kind == "identity":
-            out = z.copy()
+            np.copyto(out, z)
         else:
-            out = np.full_like(z, self.const)
+            out.fill(self.const)
         return float(out) if out.ndim == 0 else out
 
 

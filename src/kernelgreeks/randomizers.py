@@ -27,6 +27,10 @@ __all__ = ["Randomizer", "OffsetSample", "uniform_randomizer", "truncexp_randomi
 # switch to the series expansion of the normalization below this |theta*eps|
 _SMALL_TILT = 1e-6
 
+# from this |theta*eps| on, the normalization is taken in log space, where it
+# underflows to 0 instead of overflowing (sinh overflows beyond 710)
+_LARGE_TILT = 700.0
+
 
 @dataclass(frozen=True)
 class OffsetSample:
@@ -47,26 +51,39 @@ class Randomizer:
     def __post_init__(self):
         if self.kind not in ("uniform", "truncexp"):
             raise ValueError(f"unknown randomizer kind {self.kind!r}")
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
+        if not math.isfinite(self.theta):
+            raise ValueError(f"theta must be finite, got {self.theta!r}")
         if self.kind == "uniform" and self.theta != 0.0:
             raise ValueError("uniform randomizer does not take a tilt; use truncexp")
 
     # -- density ---------------------------------------------------------
 
     def _norm_at_zero(self) -> float:
-        """The value theta / (e^{theta eps} - e^{-theta eps}), stable near theta = 0."""
+        """The value theta / (e^{theta eps} - e^{-theta eps}), stable near theta = 0
+        and free of overflow at large |theta eps|."""
         te = self.theta * self.epsilon
         if abs(te) < _SMALL_TILT:
             # theta / (2 sinh(theta eps)) expanded to second order in (theta eps)^2
             return 1.0 / (2.0 * self.epsilon * (1.0 + te * te / 6.0 + te**4 / 120.0))
-        return self.theta / (2.0 * math.sinh(te))
+        if abs(te) < _LARGE_TILT:
+            return self.theta / (2.0 * math.sinh(te))
+        # 2 sinh|te| equals e^|te| to double precision out here
+        return math.exp(math.log(abs(self.theta)) - abs(te))
 
     def density(self, l):
         """Density at offset l (vectorized); zero outside the closed support."""
         l = np.asarray(l, dtype=float)
         inside = np.abs(l) <= self.epsilon
-        vals = np.where(inside, self._norm_at_zero() * np.exp(self.theta * l), 0.0)
+        te = abs(self.theta * self.epsilon)
+        if te < _LARGE_TILT:
+            vals = self._norm_at_zero() * np.exp(self.theta * l)
+        else:
+            # |theta| e^{theta l - |theta eps|}, in log space
+            with np.errstate(over="ignore"):
+                vals = np.exp(math.log(abs(self.theta)) - te + self.theta * l)
+        vals = np.where(inside, vals, 0.0)
         return float(vals) if vals.ndim == 0 else vals
 
     def density_at_zero(self) -> float:
@@ -87,26 +104,37 @@ class Randomizer:
 
     # -- sampling --------------------------------------------------------
 
-    def sample_offsets(self, u):
-        """Inverse-CDF transform of uniforms u in [0, 1) to offsets (vectorized)."""
+    def sample_offsets(self, u, out=None):
+        """Inverse-CDF transform of uniforms u in [0, 1) to offsets (vectorized).
+
+        ``out``, when given, is a float array shaped like u that receives
+        the offsets; it may be u itself.
+        """
         u = np.asarray(u, dtype=float)
         if np.any(u < 0.0) or np.any(u >= 1.0):
             raise ValueError("uniforms must lie in [0, 1)")
+        if out is None:
+            out = np.empty_like(u)
         te = self.theta * self.epsilon
         if abs(te) < 1e-12:
-            out = -self.epsilon + 2.0 * self.epsilon * u
+            # -eps + 2 eps u
+            np.multiply(u, 2.0 * self.epsilon, out=out)
+            out += -self.epsilon
         else:
             # l = log(e^{-te} + u (e^{te} - e^{-te})) / theta, written with
             # expm1/log1p so it stays accurate for small tilts
             lo = np.expm1(-te)
             width = np.expm1(te) - lo
+            np.multiply(u, width, out=out)
+            out += lo
             # at extreme tilts e^{-theta eps} underflows and the u ~ 0
             # quantile evaluates as log1p(-1) = -inf; the clip below snaps
             # it to the support edge, which is the correct limit
             with np.errstate(divide="ignore"):
-                out = np.log1p(lo + u * width) / self.theta
+                np.log1p(out, out=out)
+            out /= self.theta
         # guard against roundoff pushing a draw just past the edge
-        out = np.clip(out, -self.epsilon, self.epsilon)
+        np.clip(out, -self.epsilon, self.epsilon, out=out)
         return float(out) if out.ndim == 0 else out
 
     def sample_offset(self, u: float, lambda0: float) -> OffsetSample:

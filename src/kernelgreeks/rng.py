@@ -10,6 +10,9 @@ keeps every consumer disjoint:
 - the bandwidth pilot of a run adds 2**47 to the run's base id
 - reference computations (high-N finite differences) use ids starting
   at 2**46
+
+``replication_ids`` and ``sweep_base`` raise rather than hand out ids that
+cross into another consumer's block.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ __all__ = [
     "STREAM_REFERENCE",
     "stream",
     "sweep_base",
+    "replication_ids",
 ]
 
 #: id stride between sweep grid points
@@ -42,7 +46,34 @@ def stream(seed: int, stream_id: int) -> np.random.Generator:
 
 
 def sweep_base(point_index: int) -> int:
-    """Base stream id of sweep grid point ``point_index`` (0-based)."""
+    """Base stream id of sweep grid point ``point_index`` (0-based).
+
+    The blocks of points 0 .. 16382 lie below ``STREAM_REFERENCE``.
+    """
     if point_index < 0:
         raise ValueError("point_index must be nonnegative")
-    return (point_index + 1) * SWEEP_STRIDE
+    base = (point_index + 1) * SWEEP_STRIDE
+    if base >= STREAM_REFERENCE:
+        raise ValueError(
+            f"sweep point {point_index} would take stream ids reserved for references"
+        )
+    return base
+
+
+def replication_ids(stream_base: int, replications: int) -> range:
+    """The stream ids of a run's replications: ``stream_base + j``.
+
+    They must stay inside the sweep block of ``stream_base`` and below
+    ``STREAM_REFERENCE``; otherwise two runs, or a run and a reference,
+    would share streams.
+    """
+    if stream_base < 0 or replications < 0:
+        raise ValueError("stream_base and replications must be nonnegative")
+    stop = stream_base + replications
+    block_end = (stream_base // SWEEP_STRIDE + 1) * SWEEP_STRIDE
+    if stop > min(block_end, STREAM_REFERENCE):
+        raise ValueError(
+            f"{replications} replications from stream id {stream_base} run into the next "
+            "stream block"
+        )
+    return range(stream_base, stop)

@@ -412,3 +412,32 @@ def test_out_of_range_seed_is_a_usage_error():
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert any(line.startswith("kernelgreeks: error: seed") for line in proc.stderr.splitlines())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--model.spot", "nan"],
+        ["--model.rate", "inf"],
+        ["--strike", "nan"],
+        ["--bandwidth", "nan"],
+        ["--estimator", "exponential", "--theta", "nan"],
+        ["--estimator", "fd", "--fd-eps", "inf"],
+        ["--estimator", "fd", "--alpha", "nan"],
+        ["--estimator", "exponential", "--theta", "1e6", "--bandwidth", "8"],
+        ["--reps", str(2**32 + 1)],
+    ],
+)
+def test_degenerate_inputs_end_in_one_error_line(argv):
+    # a fresh interpreter, so that an uncaught exception would show as a traceback
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "kernelgreeks.cli", "estimate", "--n", "100", "--reps", "2",
+         *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if "error: " in line]
+    assert len(errors) == 1 and errors[0].startswith(("error: ", "kernelgreeks: error: "))

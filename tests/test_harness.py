@@ -17,10 +17,13 @@ from kernelgreeks import (
     GbmParams,
     InsufficientReplications,
     InsufficientSamples,
+    NonFiniteEstimate,
     NonPositiveVariance,
+    OutsideSupport,
     RandomizerMismatch,
     SampleSet,
     ScoreUnavailable,
+    STREAM_REFERENCE,
     asian_fd_reference,
     builtin_kernel,
     closed_form_digital_delta,
@@ -29,7 +32,10 @@ from kernelgreeks import (
     constant_payoff,
     convergence_rate_fit,
     digital_call,
+    estimate_exponential_opt,
     estimate_finite_difference,
+    estimate_oracle_score,
+    estimate_single_kernel_check,
     estimate_single_kernel_hat,
     estimate_uniform_opt,
     fit_loglog,
@@ -50,6 +56,7 @@ from kernelgreeks import (
 )
 from kernelgreeks import harness
 from kernelgreeks.harness import PILOT_N, _one_replication
+from kernelgreeks.rng import replication_ids, sweep_base
 
 PAPER = GbmParams(spot=120.0, rate=0.0, vol=0.2, maturity=1.0)
 K2 = builtin_kernel("p2")
@@ -234,13 +241,14 @@ class _TwoPartError(Exception):
     [_TwoPartError("boom", "step 3"), UnicodeDecodeError("utf-8", b"\xff", 0, 1, "bad byte")],
 )
 def test_replication_errors_need_not_take_one_message(monkeypatch, error):
-    # neither type can be rebuilt from a message alone
+    # neither type can be rebuilt from a message alone; the double kernel
+    # runs each replication through _one_replication
     def fail(cfg, plan, stream_id):
         raise error
 
     monkeypatch.setattr(harness, "_one_replication", fail)
     with pytest.raises(RuntimeError, match="replication 0") as info:
-        run_replications(base_config(replications=2), workers=1)
+        run_replications(base_config(estimator_id="double", replications=2), workers=1)
     assert info.value.__cause__ is error
 
 
@@ -527,3 +535,197 @@ def test_asian_replication_memory_is_bounded(steps):
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+# -- replication blocks ------------------------------------------------------
+
+
+def _lone_replication(cfg, stream_id):
+    """Replication ``stream_id`` recomputed through the public estimators on
+    (N,) arrays, one replication at a time."""
+    plan = resolve_run(cfg)
+    rng = stream(cfg.seed, stream_id)
+    spot, eid = cfg.model.spot, cfg.estimator_id
+    m = cfg.n_samples // 2 if cfg.antithetic else cfg.n_samples
+    offsets = plan.randomizer.sample_offsets(rng.random(m)) if plan.randomizer else None
+    if cfg.asian is None:
+        gauss = rng.standard_normal(m)
+
+        def states_at(spot):
+            return simulate_terminal(PAPER, gauss, spot=spot)
+    else:
+        gauss = rng.standard_normal((m, cfg.asian.steps))
+
+        def states_at(spot):
+            return simulate_asian(PAPER, cfg.asian, gauss, spot=spot)
+    if eid == "fd":
+        fd = FdConfig(alpha=cfg.fd_alpha, bump=cfg.fd_eps)
+        return estimate_finite_difference(PAPER, cfg.payoff, fd, gauss, asian=cfg.asian).value
+    if eid == "lr":
+        states = states_at(spot)
+        ss = SampleSet(spot, np.full(m, spot), states, cfg.payoff(states))
+        return estimate_oracle_score(ss, PAPER).value
+
+    def estimate(lams):
+        states = states_at(lams)
+        ss = SampleSet(spot, lams, states, cfg.payoff(states), randomizer=plan.randomizer,
+                       state_kind="terminal" if cfg.asian is None else "asian")
+        if eid == "uniform":
+            return estimate_uniform_opt(ss, plan.kernel, plan.h).value
+        if eid == "exponential":
+            return estimate_exponential_opt(ss, plan.kernel, plan.h, plan.theta).value
+        ec = EstimatorConfig(kernel=plan.kernel, bandwidth=plan.h, randomizer=plan.randomizer)
+        single = estimate_single_kernel_hat if eid == "hat" else estimate_single_kernel_check
+        return single(ss, ec).value
+
+    value = estimate(spot - offsets)
+    if cfg.antithetic:
+        value = 0.5 * (value + estimate(spot + offsets))
+    return value
+
+
+_BLOCK_CASES = [
+    (eid, antithetic, asian, n)
+    for asian in (False, True)
+    for eid, antithetic in [
+        ("uniform", False), ("uniform", True), ("exponential", False), ("exponential", True),
+        ("hat", False), ("hat", True), ("check", False), ("check", True), ("lr", False),
+        ("fd", False),
+    ]
+    for n in (2, 3, 100, 317, 10_000)
+    if not (asian and eid == "lr") and not (antithetic and n % 2)
+]
+
+
+@pytest.mark.parametrize("eid, antithetic, asian, n", _BLOCK_CASES)
+def test_blocks_match_lone_replications(monkeypatch, eid, antithetic, asian, n):
+    extra = {"bandwidth": 1.0} if eid in ("lr", "fd") else {"bandwidth": 6.0}
+    if eid in ("hat", "check"):
+        extra.update(randomizer_kind="truncexp", theta=0.05)
+    elif eid == "exponential":
+        extra.update(theta=-0.05)
+    cfg = base_config(estimator_id=eid, antithetic=antithetic, n_samples=n, replications=11,
+                      asian=AsianConfig(steps=3) if asian else None, seed=515, **extra)
+    # blocks of 4 rows, or the real size where that already splits R = 11
+    # unevenly (N = 10000: rows of 6, or 13 with antithetic pairs)
+    m = n // 2 if antithetic else n
+    if harness._BLOCK_ELEMENTS // m > 11:
+        monkeypatch.setattr(harness, "_BLOCK_ELEMENTS", 4 * m)
+    want = [_lone_replication(cfg, 70 + j) for j in range(cfg.replications)]
+    for workers in (1, 2, 4):
+        got = run_replications(cfg, workers=workers, stream_base=70).estimates
+        assert got.tolist() == want
+
+
+class _FaultyStream:
+    """A generator whose uniforms come out as ``value`` at one position."""
+
+    def __init__(self, rng, value):
+        self._rng, self._value = rng, value
+
+    def random(self, out):
+        self._rng.random(out=out)
+        out[..., 1] = self._value
+
+    def standard_normal(self, *args, **kwargs):
+        return self._rng.standard_normal(*args, **kwargs)
+
+
+@pytest.mark.parametrize("value, error", [(1.5, ValueError), (np.nan, OutsideSupport)])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_block_errors_name_the_first_failing_replication(monkeypatch, value, error, workers):
+    # blocks of 4 rows: replications 6 and 9 fail, both inside a block
+    monkeypatch.setattr(harness, "_BLOCK_ELEMENTS", 4 * 50)
+
+    def faulty(seed, stream_id):
+        rng = stream(seed, stream_id)
+        return _FaultyStream(rng, value) if stream_id in (6, 9) else rng
+
+    monkeypatch.setattr(harness, "stream", faulty)
+    cfg = base_config(n_samples=50, replications=11)
+    with pytest.raises(error, match="^replication 6: ") as info:
+        run_replications(cfg, workers=workers)
+    assert isinstance(info.value.__cause__, error)
+
+
+def test_non_finite_block_estimate_names_its_replication(monkeypatch):
+    # an infinite normal makes the likelihood-ratio average infinite
+    class Infinite(_FaultyStream):
+        def standard_normal(self, out):
+            self._rng.standard_normal(out=out)
+            out[..., 0] = np.inf
+
+    monkeypatch.setattr(harness, "_BLOCK_ELEMENTS", 3 * 40)
+    monkeypatch.setattr(
+        harness, "stream",
+        lambda seed, i: Infinite(stream(seed, i), 0.0) if i == 4 else stream(seed, i),
+    )
+    cfg = base_config(estimator_id="lr", bandwidth=1.0, n_samples=40, replications=7)
+    with pytest.raises(NonFiniteEstimate, match="^replication 4: lr produced"):
+        run_replications(cfg, workers=1)
+
+
+@pytest.mark.parametrize("replications", [1000, 30_000])
+def test_block_memory_is_bounded_by_the_block_budget(replications):
+    # each of two workers holds two (rows, N) draw buffers of _BLOCK_ELEMENTS
+    # doubles, and a block's temporaries stay below five more; R * N is
+    # 1.5 and 46 such arrays here
+    cfg = base_config(n_samples=100, replications=replications)
+    run_replications(cfg, workers=2)  # warm up imports and caches
+    tracemalloc.start()
+    try:
+        run_replications(cfg, workers=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 7 * harness._BLOCK_ELEMENTS * 8
+
+
+def test_block_runtime_is_shared_by_its_rows(monkeypatch):
+    monkeypatch.setattr(harness, "_BLOCK_ELEMENTS", 3 * 200)
+    res = run_replications(base_config(n_samples=200, replications=7), workers=1)
+    assert res.runtime_ms[0] == res.runtime_ms[1] == res.runtime_ms[2] > 0.0
+    assert res.runtime_ms[6] > 0.0
+
+
+# -- stream-id layout ----------------------------------------------------------
+
+
+def test_replication_ids_stay_inside_their_block():
+    assert replication_ids(0, 2**32) == range(0, 2**32)
+    assert replication_ids(sweep_base(3) + 5, 2**32 - 5)[-1] == sweep_base(4) - 1
+    for base, count in ((0, 2**32 + 1), (sweep_base(2) + 1, 2**32), (-1, 1), (0, -1),
+                        (STREAM_REFERENCE - 10, 11)):
+        with pytest.raises(ValueError):
+            replication_ids(base, count)
+
+
+def test_sweep_blocks_stop_below_the_reference_ids():
+    assert sweep_base(16382) == STREAM_REFERENCE - 2**32
+    for i in (16383, 16384, 2**40):
+        with pytest.raises(ValueError):
+            sweep_base(i)
+
+
+def test_overlapping_runs_raise_before_any_work(monkeypatch):
+    def no_work(*args, **kwargs):
+        pytest.fail("run_replications started work before checking its stream ids")
+
+    monkeypatch.setattr(harness, "resolve_run", no_work)
+    # 2**32 replications fit from a block start, not from one id later; the
+    # estimates alone would take 32 GiB
+    cfg = base_config(replications=2**32)
+    with pytest.raises(ValueError, match="next stream block"):
+        run_replications(cfg, stream_base=sweep_base(0) + 1)
+    with pytest.raises(ValueError):
+        base_config(replications=2**32 + 1)
+
+
+# -- non-finite inputs ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite_values(bad):
+    for field in ("bandwidth", "theta", "fd_alpha", "fd_eps"):
+        with pytest.raises(ValueError):
+            base_config(**{field: bad})

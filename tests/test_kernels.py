@@ -161,3 +161,28 @@ def test_support_mask_property(u):
             assert k.gradient(u) == 0.0
         else:
             assert np.isfinite(k(u))
+
+
+def test_gradient_coefficients_are_derived_once(monkeypatch):
+    from kernelgreeks import kernels
+
+    calls = []
+    polyder = kernels.npoly.polyder
+    monkeypatch.setattr(kernels.npoly, "polyder", lambda c: calls.append(1) or polyder(c))
+    k = builtin_kernel("p4")
+    for u in (0.3, np.linspace(-2.0, 2.0, 9), -0.7):
+        k.gradient(u)
+    assert len(calls) == 1
+
+
+def test_evaluation_matches_polyval_bit_for_bit():
+    from numpy.polynomial import polynomial as npoly
+
+    rng = np.random.default_rng(5)
+    u = np.concatenate([rng.uniform(-1.3, 1.3, 4000), [1.0, -1.0, 0.0, -0.0, np.nan, np.inf]])
+    with np.errstate(invalid="ignore", over="ignore"):
+        for k in ALL:
+            for coeffs, method in ((k.coeffs, k), (npoly.polyder(k.coeffs), k.gradient)):
+                want = np.where(np.abs(u) <= 1.0, npoly.polyval(u, coeffs), 0.0)
+                for got in (method(u), method(u.reshape(2, -1)).ravel()):
+                    assert np.array_equal(got.view(np.int64), want.view(np.int64))

@@ -278,3 +278,30 @@ def test_closed_form_delta_is_density_integral():
     assert np.trapezoid(integrand, z) == pytest.approx(
         closed_form_digital_delta(PAPER, 120.0), rel=1e-6
     )
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_parameters_are_rejected(bad):
+    for field in ("spot", "vol", "maturity"):
+        kw = {"spot": 100.0, "rate": 0.0, "vol": 0.2, "maturity": 1.0, field: bad}
+        with pytest.raises(NonPositiveState):
+            GbmParams(**kw)
+    with pytest.raises(ValueError):
+        GbmParams(spot=100.0, rate=bad, vol=0.2, maturity=1.0)
+    for make in (digital_call, vanilla_call, constant_payoff):
+        with pytest.raises(ValueError):
+            make(bad)
+
+
+def test_in_place_outputs_match_fresh_arrays():
+    rng = np.random.default_rng(8)
+    gauss = rng.standard_normal((3, 40))
+    spots = 120.0 + rng.uniform(-5.0, 5.0, (3, 40))
+    want = simulate_terminal(PAPER, gauss, spot=spots)
+    out = gauss.copy()
+    assert simulate_terminal(PAPER, out, spot=spots, out=out) is out
+    assert np.array_equal(out, want)
+    for payoff in (digital_call(120.0), vanilla_call(118.0), identity_payoff(),
+                   constant_payoff(2.5)):
+        z = want.copy()
+        assert np.array_equal(payoff(z, out=z), payoff(want))

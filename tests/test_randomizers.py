@@ -165,3 +165,39 @@ def test_draws_stay_inside_support(eps, theta, u, lambda0):
     assert s.lam == lambda0 - s.offset
     pair = antithetic_of(s, lambda0)
     assert (s.lam + pair.lam) / 2.0 == pytest.approx(lambda0, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_parameters_are_rejected(bad):
+    from kernelgreeks import Randomizer
+
+    for kind in ("uniform", "truncexp"):
+        with pytest.raises(ValueError):
+            Randomizer(kind=kind, epsilon=bad)
+    with pytest.raises(ValueError):
+        truncexp_randomizer(1.0, bad)
+
+
+def test_extreme_tilt_normalization_does_not_overflow():
+    import math
+
+    # theta * eps = 8e6: 2 sinh overflows, the normalization underflows to 0
+    r = truncexp_randomizer(8.0, 1e6)
+    assert r.density_at_zero() == 0.0
+    dens = r.density(np.array([-8.0, 0.0, 8.0]))
+    assert dens[0] == dens[1] == 0.0 and dens[2] == pytest.approx(1e6, rel=1e-9)
+    assert truncexp_randomizer(8.0, -1e6).density(-8.0) == pytest.approx(1e6, rel=1e-9)
+    # the log-space branch continues the closed form across its threshold
+    for te in (699.0, 701.0):
+        theta = te / 2.0
+        closed = theta * math.exp(-te) / -math.expm1(-2.0 * te)
+        assert truncexp_randomizer(2.0, theta).density_at_zero() == pytest.approx(closed, rel=1e-12)
+
+
+def test_in_place_offsets_match_fresh_arrays():
+    u = np.random.default_rng(9).random((3, 50))
+    for r in (uniform_randomizer(2.0), truncexp_randomizer(2.0, 0.7), truncexp_randomizer(2.0, -3.0)):
+        want = r.sample_offsets(u)
+        out = u.copy()
+        assert r.sample_offsets(out, out=out) is out
+        assert np.array_equal(out, want)
