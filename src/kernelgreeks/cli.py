@@ -10,7 +10,8 @@ Four subcommands share one flag set:
   random streams, writes a summary CSV and one KDE CSV per estimator
 
 ``--config FILE`` reads flat ``key=value`` lines whose keys equal the
-flag names; explicit command-line flags override file values. Every
+flag names, or a JSON object with the same keys, such as a written
+sidecar; explicit command-line flags override file values. Every
 file-writing command drops a JSON sidecar with the resolved config next
 to its output.
 """
@@ -37,6 +38,7 @@ from .export import (
 from .harness import (
     ESTIMATOR_IDS,
     KERNEL_ESTIMATORS,
+    CommonRun,
     ExperimentConfig,
     convergence_rate_fit,
     kde_grid,
@@ -140,53 +142,58 @@ def _n_grid(ns, parser) -> list[int]:
     return grid
 
 
-def _bandwidth_value(ns, parser):
+def _bandwidth_value(ns):
     if str(ns.bandwidth).strip() == "auto":
         return "auto"
     try:
         return float(ns.bandwidth)
     except ValueError:
-        parser.error(f"--bandwidth must be 'auto' or a number, got {ns.bandwidth!r}")
+        raise ValueError(f"--bandwidth must be 'auto' or a number, got {ns.bandwidth!r}") from None
 
 
-def _experiment_config(ns, parser, estimator_id: str, n: int) -> ExperimentConfig:
+def _build_config(ns, estimator_id: str, n: int) -> ExperimentConfig:
+    """The config of one estimator; raises ValueError on invalid flags."""
     if estimator_id not in ESTIMATOR_IDS:
-        parser.error(f"unknown estimator {estimator_id!r}")
+        raise ValueError(f"unknown estimator {estimator_id!r}")
     if ns.asian_steps > 0 and estimator_id == "lr":
-        parser.error("the lr estimator needs the terminal state (drop --asian-steps)")
+        raise ValueError("the lr estimator needs the terminal state (drop --asian-steps)")
     randomizer_kind = (
         "truncexp"
         if ns.theta is not None and estimator_id in ("hat", "check", "double")
         else "uniform"
     )
-    bandwidth = _bandwidth_value(ns, parser)
+    bandwidth = _bandwidth_value(ns)
     if estimator_id not in KERNEL_ESTIMATORS and bandwidth == "auto":
         bandwidth = 1.0  # unused by lr/fd, but the config requires a value
+    model = GbmParams(
+        spot=ns.model_spot,
+        rate=ns.model_rate,
+        vol=ns.model_vol,
+        maturity=ns.model_maturity,
+    )
+    payoff = _PAYOFFS[ns.payoff](ns.strike)
+    asian = AsianConfig(steps=ns.asian_steps) if ns.asian_steps > 0 else None
+    return ExperimentConfig(
+        model=model,
+        payoff=payoff,
+        estimator_id=estimator_id,
+        asian=asian,
+        kernel_family=ns.kernel,
+        randomizer_kind=randomizer_kind,
+        bandwidth=bandwidth,
+        theta=ns.theta,
+        n_samples=n,
+        replications=ns.reps,
+        seed=ns.seed,
+        antithetic=ns.antithetic,
+        fd_alpha=ns.alpha,
+        fd_eps=ns.fd_eps,
+    )
+
+
+def _experiment_config(ns, parser, estimator_id: str, n: int) -> ExperimentConfig:
     try:
-        model = GbmParams(
-            spot=ns.model_spot,
-            rate=ns.model_rate,
-            vol=ns.model_vol,
-            maturity=ns.model_maturity,
-        )
-        payoff = _PAYOFFS[ns.payoff](ns.strike)
-        asian = AsianConfig(steps=ns.asian_steps) if ns.asian_steps > 0 else None
-        return ExperimentConfig(
-            model=model,
-            payoff=payoff,
-            estimator_id=estimator_id,
-            asian=asian,
-            kernel_family=ns.kernel,
-            randomizer_kind=randomizer_kind,
-            bandwidth=bandwidth,
-            theta=ns.theta,
-            n_samples=n,
-            replications=ns.reps,
-            seed=ns.seed,
-            antithetic=ns.antithetic,
-            fd_alpha=ns.alpha,
-            fd_eps=ns.fd_eps,
-        )
+        return _build_config(ns, estimator_id, n)
     except ValueError as exc:
         parser.error(str(exc))
 
@@ -250,26 +257,38 @@ def _cmd_compare(ns, parser) -> int:
     if not ids:
         parser.error("--estimator gave an empty list")
     n = _single_n(ns, parser)
+    # the estimators run on common draws, as one group that ends before the
+    # first invalid estimator; its error is reported after the others
+    cfgs, invalid = [], None
+    for estimator_id in ids:
+        try:
+            cfgs.append(_build_config(ns, estimator_id, n))
+        except (ValueError, KernelGreeksError) as exc:
+            invalid = exc
+            break
+    common = CommonRun(cfgs)
     rows = []
     reference = source = None
-    for estimator_id in ids:
-        cfg = _experiment_config(ns, parser, estimator_id, n)
+    for cfg in cfgs:
         if reference is None:
             reference, source = reference_value(cfg)
-        result = run_replications(cfg)
+        result = run_replications(cfg, common=common)
         summary = summarize(result.estimates, reference, source)
         rows.append(summary_row(cfg, result, summary))
         if cfg.replications >= 10:
             grid = kde_grid(result.estimates)
             density = kde_of_estimates(result.estimates, grid)
-            write_kde_csv(sibling_path(ns.out, f"kde.{estimator_id}"), grid, density)
+            write_kde_csv(sibling_path(ns.out, f"kde.{cfg.estimator_id}"), grid, density)
         print(
-            f"{estimator_id}: {format_real(summary.mean)} +/- {format_real(summary.stderr)}"
+            f"{cfg.estimator_id}: {format_real(summary.mean)} +/- {format_real(summary.stderr)}"
             f" (mse = {format_real(summary.mse)})"
         )
+    if isinstance(invalid, ValueError):
+        parser.error(str(invalid))
+    if invalid is not None:
+        raise invalid
     out = write_summary_csv(ns.out, rows)
-    base = _experiment_config(ns, parser, ids[0], n)
-    mapping = {"command": "compare", **config_mapping(base), "estimator": ",".join(ids)}
+    mapping = {"command": "compare", **config_mapping(cfgs[0]), "estimator": ",".join(ids)}
     write_config_sidecar(out, mapping)
     return 0
 
@@ -286,11 +305,11 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
     ns = parser.parse_args(argv)
-    if ns.config:
-        injected = _mapping_to_argv(parse_config_file(ns.config))
-        at = argv.index(ns.command)
-        ns = parser.parse_args(argv[: at + 1] + injected + argv[at + 1 :])
     try:
+        if ns.config:
+            injected = _mapping_to_argv(parse_config_file(ns.config))
+            at = argv.index(ns.command)
+            ns = parser.parse_args(argv[: at + 1] + injected + argv[at + 1 :])
         return _COMMANDS[ns.command](ns, parser)
     except KernelGreeksError as exc:
         print(f"error: {exc}", file=sys.stderr)

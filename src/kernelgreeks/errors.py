@@ -19,6 +19,7 @@ __all__ = [
     "NonPositiveVariance",
     "InsufficientReplications",
     "NonFiniteEstimate",
+    "InvalidConfigFile",
     "DegenerateVarianceWarning",
     "DegenerateBiasWarning",
 ]
@@ -86,6 +87,10 @@ class InsufficientReplications(KernelGreeksError):
 
 class NonFiniteEstimate(KernelGreeksError, FloatingPointError):
     """An estimator produced an infinite or NaN value."""
+
+
+class InvalidConfigFile(KernelGreeksError, ValueError):
+    """A config file cannot be read or holds a malformed entry."""
 
 
 class DegenerateVarianceWarning(UserWarning):

@@ -201,13 +201,17 @@ def _finite(values, estimator_id: str):
 
 
 def _single_kernel_rows(
-    gen: Randomizer | None, config: EstimatorConfig, payoffs, offsets, at_zero: bool
+    gen: Randomizer | None, config: EstimatorConfig, payoffs, offsets
 ) -> np.ndarray:
     h = _require_bandwidth(config.bandwidth)
     r = _resolve_randomizer(gen, config)
+    if gen is None:  # no generating randomizer checked these draws
+        _require_support(offsets, r)
     kernel = config.kernel
     u = offsets / h
-    grad_log = r.grad_log_density(0.0) if at_zero else r.grad_log_density(offsets)
+    # the log-density gradient is constant on the support, so its value at
+    # each drawn offset is its value at 0
+    grad_log = r.grad_log_density(0.0)
     # payoffs * (K'(u) + h * K(u) * grad_log)
     terms = kernel.gradient(u)
     weight = kernel(u)
@@ -218,22 +222,26 @@ def _single_kernel_rows(
     return np.sum(terms, axis=-1) / (r.density_at_zero() * payoffs.shape[-1] * h * h)
 
 
-def _single_kernel(samples: SampleSet, config: EstimatorConfig, at_zero: bool, tag: str) -> Estimate:
+def _single_kernel(samples: SampleSet, config: EstimatorConfig, tag: str) -> Estimate:
     _require_draws(samples)
     value = _single_kernel_rows(
-        samples.randomizer, config, samples.payoffs, samples.lambda0 - samples.lambdas, at_zero
+        samples.randomizer, config, samples.payoffs, samples.lambda0 - samples.lambdas
     )
     return Estimate(float(_finite(value, tag)), samples.n, tag)
 
 
 def estimate_single_kernel_hat(samples: SampleSet, config: EstimatorConfig) -> Estimate:
-    """Kernel estimator with the log-density gradient at each drawn offset."""
-    return _single_kernel(samples, config, at_zero=False, tag="hat")
+    """Kernel estimator with the log-density gradient at each drawn offset.
+
+    Both randomizer families have a constant gradient on the support, so
+    this is :func:`estimate_single_kernel_check` bit for bit.
+    """
+    return _single_kernel(samples, config, tag="hat")
 
 
 def estimate_single_kernel_check(samples: SampleSet, config: EstimatorConfig) -> Estimate:
     """Kernel estimator with the log-density gradient frozen at offset 0."""
-    return _single_kernel(samples, config, at_zero=True, tag="check")
+    return _single_kernel(samples, config, tag="check")
 
 
 def _coupled_epsilon(gen: Randomizer | None, kernel: Kernel, h: float, kind: str) -> float:

@@ -1,10 +1,11 @@
 """Flat-file output: CSV schemas, config sidecars, config file parsing.
 
 Every real is written with 17 significant digits so a run can be
-byte-compared against a rerun of the same config. The one exception is
-the runtime_ms column of the raw CSV, which measures wall time: a
-replication evaluated in a block of B replications gets the block's
-wall time divided by B, so rows of one block share a value.
+byte-compared against a rerun of the same config. Timings are exempt:
+the runtime_ms column of the raw CSV measures wall time. A replication
+evaluated in a block of B replications gets the block's wall time
+divided by B, and by the number of estimators when several run on the
+block's common draws, so rows of one block share a value.
 
 Formats
 -------
@@ -18,7 +19,8 @@ Formats
 
 Config files for ``--config`` hold one ``key=value`` pair per line with
 the same keys as the CLI flags (no leading dashes); ``#`` starts a
-comment.
+comment. A file that starts with ``{`` is read as a JSON object with the
+same keys instead, so a config sidecar replays its run directly.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import InvalidConfigFile
 from .harness import ExperimentConfig, ExperimentSummary, RateFit, RunResult
 
 __all__ = [
@@ -178,14 +181,29 @@ def write_config_sidecar(out_path, mapping: dict) -> Path:
 
 
 def parse_config_file(path) -> dict:
-    """Read a flat key=value config file into a string mapping."""
+    """Read a config file into a mapping: flat key=value lines give strings,
+    a JSON object (a config sidecar) gives its scalar values as written."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise InvalidConfigFile(f"cannot read config file {str(path)!r}: {reason}") from exc
+    if text.lstrip().startswith("{"):
+        try:
+            mapping = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise InvalidConfigFile(f"config file {str(path)!r} is not valid JSON: {exc}") from exc
+        nested = [key for key, value in mapping.items() if isinstance(value, (dict, list))]
+        if nested:
+            raise InvalidConfigFile(f"config keys must map to single values: {nested[0]!r}")
+        return mapping
     mapping = {}
-    for raw in Path(path).read_text().splitlines():
+    for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"config line without '=': {raw!r}")
+            raise InvalidConfigFile(f"config line without '=': {raw!r}")
         key, value = line.split("=", 1)
         mapping[key.strip()] = value.strip()
     return mapping

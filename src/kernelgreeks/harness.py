@@ -48,7 +48,7 @@ from .models import (
     simulate_terminal,
 )
 from .randomizers import Randomizer
-from .rng import PILOT_OFFSET, STREAM_REFERENCE, replication_ids, stream, sweep_base
+from .rng import PILOT_OFFSET, STREAM_REFERENCE, rekey, replication_ids, stream, sweep_base
 
 __all__ = [
     "ExperimentConfig",
@@ -59,6 +59,7 @@ __all__ = [
     "ESTIMATOR_IDS",
     "PILOT_N",
     "resolve_run",
+    "CommonRun",
     "run_replications",
     "reference_value",
     "asian_fd_reference",
@@ -290,8 +291,10 @@ def _one_replication(cfg: ExperimentConfig, plan: _RunPlan, stream_id: int) -> f
     reduce row by row and always runs here; every other estimator runs as
     a block of one row."""
     if cfg.estimator_id != "double":
-        draws, unit = np.empty((2, 1, _draws_per_row(cfg)))
-        return float(_evaluate_block(cfg, plan, stream_id, draws, unit)[0])
+        (values,) = _evaluate_block([(cfg, plan)], stream_id, *_worker_buffers(cfg, 1))
+        if isinstance(values, Exception):
+            raise values
+        return float(values[0])
     rng = stream(cfg.seed, stream_id)
     spot = cfg.model.spot
     n = _draws_per_row(cfg)
@@ -309,152 +312,261 @@ def _draws_per_row(cfg: ExperimentConfig) -> int:
     return cfg.n_samples // 2 if cfg.antithetic else cfg.n_samples
 
 
-def _evaluate_block(
-    cfg: ExperimentConfig, plan: _RunPlan, first_id: int, draws: np.ndarray, unit: np.ndarray
-) -> np.ndarray:
-    """The estimates of replications first_id .. first_id + rows - 1.
+def _attempt(fn, *args):
+    """fn(*args), or the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return exc
 
-    ``draws`` and ``unit`` are (rows, n) arrays that receive each row's
-    uniforms and unit-spot states. Each row draws from its own stream
-    exactly what a lone replication draws, in the same order; the
-    arithmetic then runs once over the whole block, in place where it can,
-    and every row is reduced in the same operation order as a lone
-    replication, so the estimates are the same bits. A check that fails
-    raises for the whole block.
+
+def _worker_buffers(cfg: ExperimentConfig, rows: int) -> tuple:
+    """One worker's generator and two (rows, n) buffers for a block's
+    uniforms and unit-spot states. The generator is re-keyed before every
+    draw."""
+    shape = (rows, _draws_per_row(cfg))
+    return stream(cfg.seed, 0), np.empty(shape), np.empty(shape)
+
+
+def _evaluate_block(members, first_id: int, gen, draws, unit) -> list:
+    """The estimates of replications first_id .. first_id + rows - 1 for each
+    member (cfg, plan): a (rows,) array, or the exception that stopped it.
+
+    The members agree on model, state, N, seed and antithetic pairing, so
+    they share their draws. The block is evaluated once per draw layout,
+    noise-only (fd, then lr) first: row j re-keys ``gen`` to stream first_id + j
+    and draws the uniforms into ``draws`` (kernel estimators only), then the
+    noise, reduced to unit-spot states in ``unit``. That is exactly what a
+    lone replication draws, in the same order. Kernel estimators with equal
+    randomizer and payoff share one pass of offsets, spots, states, payoffs
+    and support check; each further randomizer draws the uniforms again.
+    Each member's rows are then reduced in the same operation order as a
+    lone replication, so the estimates are the same bits. A failed check
+    stops the members it concerns for the whole block.
     """
-    eid = cfg.estimator_id
+    cfg = members[0][0]
     spot = cfg.model.spot
-    rows, n = unit.shape
-    for j in range(rows):
-        rng = stream(cfg.seed, first_id + j)
-        if plan.randomizer is not None:
-            rng.random(out=draws[j])
+    outcomes = [None] * len(members)
+    for uniforms in (False, True):
+        idx = [i for i, (_, p) in enumerate(members) if (p.randomizer is not None) == uniforms]
+        if not idx:
+            continue
+        for j in range(unit.shape[0]):
+            rng = rekey(gen, cfg.seed, first_id + j)
+            if uniforms:
+                rng.random(out=draws[j])
+            if cfg.asian is None:
+                rng.standard_normal(out=unit[j])
+            else:
+                asian_unit_averages(cfg.model, cfg.asian, rng, unit.shape[1], out=unit[j])
         if cfg.asian is None:
-            rng.standard_normal(out=unit[j])
-        else:
-            asian_unit_averages(cfg.model, cfg.asian, rng, n, out=unit[j])
-    if cfg.asian is None:
-        # states are linear in the spot; these are the states at spot 1
-        simulate_terminal(cfg.model, unit, spot=1.0, out=unit)
+            # states are linear in the spot; these are the states at spot 1
+            simulate_terminal(cfg.model, unit, spot=1.0, out=unit)
+        if not uniforms:
+            # fd only reads the states, so lr goes last and its last member
+            # may scale them in place
+            idx.sort(key=lambda i: members[i][0].estimator_id == "lr")
+            for k, i in enumerate(idx):
+                outcomes[i] = _attempt(_noise_rows, members[i][0], unit, k == len(idx) - 1)
+            continue
+        groups = {}
+        for i in idx:
+            groups.setdefault((members[i][1].randomizer, members[i][0].payoff), []).append(i)
+        for g, ((randomizer, _), shared) in enumerate(groups.items()):
+            if g:
+                # the group before consumed the uniforms: draw them again,
+                # which holds less memory than a copy kept for every group
+                for j in range(unit.shape[0]):
+                    rekey(gen, cfg.seed, first_id + j).random(out=draws[j])
+            offsets = _attempt(randomizer.sample_offsets, draws, draws)
+            if isinstance(offsets, Exception):
+                values = [offsets] * len(shared)
+            else:
+                mirrored = offsets + spot if cfg.antithetic else None
+                # the spots overwrite the offsets, which no longer serve
+                lams = np.subtract(spot, offsets, out=offsets)
+                values = _kernel_rows([members[i] for i in shared], lams, unit)
+                live = [k for k, v in enumerate(values) if not isinstance(v, Exception)]
+                if mirrored is not None and live:
+                    other = _kernel_rows([members[shared[k]] for k in live], mirrored, unit)
+                    for k, v in zip(live, other):
+                        values[k] = v if isinstance(v, Exception) else 0.5 * (values[k] + v)
+            for i, v in zip(shared, values):
+                outcomes[i] = v
+    return outcomes
+
+
+def _noise_rows(cfg: ExperimentConfig, unit, consume: bool) -> np.ndarray:
+    """The lr or fd estimates of the unit-spot states ``unit``, one per row;
+    with ``consume``, lr overwrites ``unit`` with its states."""
+    eid = cfg.estimator_id
     if eid == "fd":
         fd = FdConfig(alpha=cfg.fd_alpha, bump=cfg.fd_eps)
         return _finite(_finite_difference_rows(cfg.model, cfg.payoff, fd, unit), eid)
-    if eid == "lr":
-        states = np.multiply(unit, spot, out=unit)
-        kind = "terminal" if cfg.asian is None else "asian"
-        return _finite(
-            _likelihood_ratio_rows(cfg.model, kind, spot, states, cfg.payoff(states)), eid
-        )
-    offsets = plan.randomizer.sample_offsets(draws, out=draws)
-    mirrored = offsets + spot if cfg.antithetic else None
-    # the spots overwrite the offsets, which no longer serve
-    lams = np.subtract(spot, offsets, out=offsets)
-    values = _finite(_kernel_rows(cfg, plan, lams, unit), eid)
-    if mirrored is None:
-        return values
-    other = _finite(_kernel_rows(cfg, plan, mirrored, unit), eid)
-    return 0.5 * (values + other)
+    spot = cfg.model.spot
+    states = np.multiply(unit, spot, out=unit if consume else None)
+    kind = "terminal" if cfg.asian is None else "asian"
+    return _finite(_likelihood_ratio_rows(cfg.model, kind, spot, states, cfg.payoff(states)), eid)
 
 
-def _kernel_rows(cfg: ExperimentConfig, plan: _RunPlan, lams, unit) -> np.ndarray:
-    """The single-kernel estimates of draws at spots ``lams``, one per row;
-    ``lams`` is overwritten with the offsets spot - lams."""
+def _kernel_rows(members, lams, unit) -> list:
+    """Each member's single-kernel estimates of the draws at spots ``lams``,
+    one per row, or the exception that stopped it; the members share
+    randomizer and payoff. ``lams`` is overwritten with the offsets
+    spot - lams."""
+    cfg, plan = members[0]
     states = np.multiply(lams, unit)
     payoffs = cfg.payoff(states, out=states)
     offsets = np.subtract(cfg.model.spot, lams, out=lams)
-    _require_support(offsets, plan.randomizer)
+    outside = _attempt(_require_support, offsets, plan.randomizer)
+    if outside is not None:
+        return [outside] * len(members)
+    return [_attempt(_kernel_estimates, c, p, payoffs, offsets) for c, p in members]
+
+
+def _kernel_estimates(cfg: ExperimentConfig, plan: _RunPlan, payoffs, offsets) -> np.ndarray:
     eid = cfg.estimator_id
     if eid == "uniform":
-        return _uniform_rows(plan.randomizer, plan.kernel, plan.h, payoffs, offsets)
-    if eid == "exponential":
-        return _exponential_rows(plan.randomizer, plan.kernel, plan.h, plan.theta, payoffs, offsets)
-    ec = EstimatorConfig(kernel=plan.kernel, bandwidth=plan.h, randomizer=plan.randomizer)
-    return _single_kernel_rows(plan.randomizer, ec, payoffs, offsets, eid == "check")
+        values = _uniform_rows(plan.randomizer, plan.kernel, plan.h, payoffs, offsets)
+    elif eid == "exponential":
+        values = _exponential_rows(
+            plan.randomizer, plan.kernel, plan.h, plan.theta, payoffs, offsets
+        )
+    else:
+        ec = EstimatorConfig(kernel=plan.kernel, bandwidth=plan.h, randomizer=plan.randomizer)
+        values = _single_kernel_rows(plan.randomizer, ec, payoffs, offsets)
+    return _finite(values, eid)
 
 
 def _with_index(exc: Exception, j: int) -> Exception:
-    """The error of replication j, with "replication j" in its message.
+    """The error of replication j, with "replication j" in its message and
+    ``exc`` as its cause.
 
     The original type is kept where it can be rebuilt from a message alone,
     as every KernelGreeksError can; otherwise the result is a RuntimeError.
     """
     message = f"replication {j}: {exc}"
     try:
-        return type(exc)(message)
+        named = type(exc)(message)
     except TypeError:  # the constructor wants more than a message
-        return RuntimeError(message)
+        named = RuntimeError(message)
+    named.__cause__ = exc
+    return named
 
 
 def _default_workers() -> int:
     return min(4, os.cpu_count() or 1)
 
 
-def run_replications(
-    cfg: ExperimentConfig, workers: int | None = None, stream_base: int = 0
-) -> RunResult:
-    """Run R independent replications and collect their estimates.
+def _replicate(members, ids: range, workers: int) -> list:
+    """Replicate ``members`` (cfg, plan) on the streams ``ids``: for each
+    member, its (estimates, runtime_ms) arrays or its error.
 
-    Replication j always consumes stream ``stream_base + j``, and the
-    output array is indexed by j, so the result does not depend on the
-    worker count. Except for the double kernel, replications run in blocks
-    of max(1, 2^16 // N) rows, and each row's ``runtime_ms`` is its block's
-    wall time divided by the block's rows. Estimator errors are re-raised
-    with the index of the first failing replication prepended and the
-    original chained.
+    The double kernel runs alone, one replication per task. Other members
+    share their draws and run in blocks of max(1, 2^16 // N) replications;
+    each row's ``runtime_ms`` is the block's wall time divided by its rows
+    times the members it evaluated. A member's error names its first
+    failing replication, and later blocks skip the member.
     """
-    ids = replication_ids(stream_base, cfg.replications)
-    plan = resolve_run(cfg, stream_base)
-    r_count = cfg.replications
-    estimates = np.empty(r_count)
-    runtimes = np.empty(r_count)
-    n = _draws_per_row(cfg)
-    rows = 1 if cfg.estimator_id == "double" else max(1, _BLOCK_ELEMENTS // n)
+    cfg = members[0][0]
+    double = cfg.estimator_id == "double"
+    r_count = len(ids)
+    rows = 1 if double else max(1, _BLOCK_ELEMENTS // _draws_per_row(cfg))
     starts = range(0, r_count, rows)
-    w = _default_workers() if workers is None else max(1, workers)
-    w = min(w, len(starts))
-    # one pair of (rows, n) draw buffers per worker, allocated here once;
-    # a block borrows a pair for as long as it runs
+    w = min(workers, len(starts))
+    # one generator and pair of draw buffers per worker, allocated here
+    # once; a block borrows a set for as long as it runs
     free = queue.SimpleQueue()
-    if cfg.estimator_id != "double":
+    if not double:
         for _ in range(w):
-            free.put((np.empty((rows, n)), np.empty((rows, n))))
+            free.put(_worker_buffers(cfg, rows))
+    estimates = [np.empty(r_count) for _ in members]
+    runtimes = [np.empty(r_count) for _ in members]
+    # member -> (first failing replication, its error); only ``collect``
+    # writes it, in block order, so a block starting later than one that
+    # failed a member may skip that member
+    errors = {}
 
-    def evaluate(start: int, count: int) -> np.ndarray:
-        if cfg.estimator_id == "double":
-            return np.array([_one_replication(cfg, plan, ids[start])])
-        draws, unit = free.get()
+    def evaluate(active: list, start: int, count: int) -> list:
+        if double:
+            plan = members[0][1]
+            return [_attempt(lambda: np.array([_one_replication(cfg, plan, ids[start])]))]
+        gen, draws, unit = free.get()
         try:
-            return _evaluate_block(cfg, plan, ids[start], draws[:count], unit[:count])
+            values = _attempt(
+                _evaluate_block, [members[i] for i in active], ids[start], gen, draws[:count],
+                unit[:count],
+            )
         finally:
-            free.put((draws, unit))
+            free.put((gen, draws, unit))
+        return [values] * len(active) if isinstance(values, Exception) else values
 
-    def job(start: int) -> tuple[int, np.ndarray, float]:
+    def job(start: int):
         count = min(rows, r_count - start)
+        active = [i for i in range(len(members)) if i not in errors]
+        if not active:
+            return start, count, {}, {}, 0.0
         t0 = time.perf_counter()
-        try:
-            values = evaluate(start, count)
-        except Exception as exc:
-            failed, error = start, exc
-            if count > 1:  # name the first replication that fails on its own
-                for j in range(start, start + count):
-                    try:
-                        evaluate(j, 1)
-                    except Exception as alone:
-                        failed, error = j, alone
-                        break
-            raise _with_index(error, failed) from error
-        return start, values, (time.perf_counter() - t0) * 1e3 / count
+        outcomes = dict(zip(active, evaluate(active, start, count)))
+        ms = (time.perf_counter() - t0) * 1e3 / (count * len(active))
+        failed = {i: (start, v) for i, v in outcomes.items() if isinstance(v, Exception)}
+        pending = list(failed) if count > 1 else []
+        for j in range(start, start + count):
+            if not pending:
+                break
+            # name the first replication that fails on its own
+            alone = evaluate(pending, j, 1)
+            for i, v in zip(pending, alone):
+                if isinstance(v, Exception):
+                    failed[i] = (j, v)
+            pending = [i for i, v in zip(pending, alone) if not isinstance(v, Exception)]
+        return start, count, outcomes, failed, ms
 
     def collect(results) -> None:
-        for start, values, ms in results:
-            estimates[start : start + values.size] = values
-            runtimes[start : start + values.size] = ms
+        for start, count, outcomes, failed, ms in results:
+            for i, values in outcomes.items():
+                if i in failed:
+                    errors.setdefault(i, failed[i])
+                else:
+                    estimates[i][start : start + count] = values
+                    runtimes[i][start : start + count] = ms
 
     if w == 1:
         collect(map(job, starts))
     else:
         with ThreadPoolExecutor(max_workers=w) as pool:
             collect(pool.map(job, starts))
+    return [
+        _with_index(errors[i][1], errors[i][0]) if i in errors else (estimates[i], runtimes[i])
+        for i in range(len(members))
+    ]
+
+
+#: the fields that the configs of a common run must share
+_COMMON_FIELDS = ("model", "asian", "n_samples", "replications", "seed", "antithetic")
+
+
+def _run_common(cfgs: tuple, workers: int | None, stream_base: int) -> list:
+    """Each config's RunResult, or the error that stopped it."""
+    if not cfgs:
+        return []
+    ids = replication_ids(stream_base, cfgs[0].replications)
+    plans = [_attempt(resolve_run, cfg, stream_base) for cfg in cfgs]
+    outcomes = list(plans)  # a config whose plan failed keeps that error
+    live = [i for i, plan in enumerate(plans) if not isinstance(plan, Exception)]
+    shared = [i for i in live if cfgs[i].estimator_id != "double"]
+    groups = ([shared] if shared else []) + [[i] for i in live if i not in shared]
+    w = _default_workers() if workers is None else max(1, workers)
+    for group in groups:
+        done = _replicate([(cfgs[i], plans[i]) for i in group], ids, w)
+        for i, result in zip(group, done):
+            outcomes[i] = result if isinstance(result, Exception) else _run_result(
+                cfgs[i], plans[i], *result
+            )
+    return outcomes
+
+
+def _run_result(cfg: ExperimentConfig, plan: _RunPlan, estimates, runtimes) -> RunResult:
     if plan.randomizer is None:
         epsilon = cfg.fd_eps if cfg.estimator_id == "fd" else None
     else:
@@ -468,6 +580,70 @@ def run_replications(
         pilot=plan.pilot,
         choice=plan.choice,
     )
+
+
+class CommonRun:
+    """Configs whose replications run on common random numbers.
+
+    Replication j of every config consumes stream ``stream_base + j``, and
+    each config's estimates are those of a run of its own bit for bit, but
+    row j opens its stream once per draw layout (uniforms then noise for
+    the kernel estimators, noise alone for lr and fd), builds the unit-spot
+    states once per layout, and kernel estimators with equal randomizer and
+    payoff share their offsets, states and payoffs. Each config still
+    resolves its own plan. The double kernel runs unshared.
+
+    The configs must agree on model, averaged state, N, R, seed and
+    antithetic pairing; otherwise the constructor raises ValueError. The
+    group runs once, on the first call of :meth:`result`, and keeps every
+    config's result or error, so a caller can report the configs one by one.
+    """
+
+    def __init__(self, cfgs, workers: int | None = None, stream_base: int = 0):
+        self.cfgs = tuple(cfgs)
+        for cfg in self.cfgs[1:]:
+            for name in _COMMON_FIELDS:
+                if getattr(cfg, name) != getattr(self.cfgs[0], name):
+                    raise ValueError(f"configs on common draws must agree on {name}")
+        self.workers, self.stream_base = workers, stream_base
+        self._outcomes = None
+
+    def result(self, cfg: ExperimentConfig) -> RunResult:
+        """The result of ``cfg``, one of the group's configs; raises its error
+        if it failed."""
+        if cfg not in self.cfgs:
+            raise ValueError("the config is not one of this common run's")
+        if self._outcomes is None:
+            self._outcomes = _run_common(self.cfgs, self.workers, self.stream_base)
+        outcome = self._outcomes[self.cfgs.index(cfg)]
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+
+def run_replications(
+    cfg: ExperimentConfig,
+    workers: int | None = None,
+    stream_base: int = 0,
+    common: CommonRun | None = None,
+) -> RunResult:
+    """Run R independent replications and collect their estimates.
+
+    Replication j always consumes stream ``stream_base + j``, and the
+    output array is indexed by j, so the result does not depend on the
+    worker count. Except for the double kernel, replications run in blocks
+    of max(1, 2^16 // N) rows, and each row's ``runtime_ms`` is its block's
+    wall time divided by the block's rows. Estimator errors are re-raised
+    with the index of the first failing replication prepended and the
+    original chained. With ``common``, a :class:`CommonRun` that holds cfg,
+    the result is cfg's share of that group's run; the group fixes workers
+    and stream base, so passing either as well raises ValueError.
+    """
+    if common is None:
+        return CommonRun([cfg], workers, stream_base).result(cfg)
+    if workers is not None or stream_base != 0:
+        raise ValueError("a common run fixes its own workers and stream base")
+    return common.result(cfg)
 
 
 def tune_fd_bump(

@@ -378,6 +378,35 @@ def test_sidecar_reproduces_run_byte_for_byte(tmp_path, capsys):
     assert first.read_bytes() == second.read_bytes()
 
 
+def test_compare_sidecar_replays_directly(tmp_path, capsys):
+    ids = ("hat", "check", "uniform", "lr", "fd")
+    first = tmp_path / "a.csv"
+    code = run_cli("compare", "--estimator", ",".join(ids), "--kernel", "p4", "--n", "3000",
+                   "--reps", "12", "--seed", "5", "--out", str(first))
+    assert code == 0
+    printed = capsys.readouterr().out
+    second = tmp_path / "b.csv"
+    assert run_cli("compare", "--config", str(tmp_path / "a.config.json"), "--out", str(second)) == 0
+    assert capsys.readouterr().out == printed
+    assert first.read_bytes() == second.read_bytes()
+    for eid in ids:
+        assert (tmp_path / f"a.kde.{eid}.csv").read_bytes() == (
+            tmp_path / f"b.kde.{eid}.csv").read_bytes()
+
+
+def test_config_file_errors_end_in_one_error_line(tmp_path, capsys):
+    no_equals = tmp_path / "bad.cfg"
+    no_equals.write_text("seed 99\n")
+    nested = tmp_path / "nested.json"
+    nested.write_text('{"seed": [1, 2]}\n')
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"seed": 1\n')
+    for path in (tmp_path / "missing.cfg", tmp_path, no_equals, nested, broken):
+        assert run_cli("estimate", "--config", str(path)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+
 def test_bad_arguments_exit_with_usage_error():
     for argv in (
         ["estimate", "--estimator", "pathwise"],
@@ -425,6 +454,7 @@ def test_out_of_range_seed_is_a_usage_error():
         ["--estimator", "fd", "--fd-eps", "inf"],
         ["--estimator", "fd", "--alpha", "nan"],
         ["--estimator", "exponential", "--theta", "1e6", "--bandwidth", "8"],
+        ["--estimator", "exponential", "--theta", "1e6", "--bandwidth", "8", "--antithetic"],
         ["--reps", str(2**32 + 1)],
     ],
 )

@@ -153,6 +153,24 @@ def test_hat_equals_check_uniform_and_truncexp():
         assert hat == pytest.approx(check, rel=1e-12)
 
 
+def test_hat_is_check_up_to_the_support_edge():
+    # the support check lets offsets through up to eps * (1 + 1e-12); hat
+    # takes the constant log-density gradient there as well
+    for r in (uniform_randomizer(6.0), truncexp_randomizer(6.0, 0.4)):
+        offsets = np.array([-3.0, 1.0, 6.0 * (1.0 + 1e-13)])
+        s = SampleSet(120.0, 120.0 - offsets, [118.0, 121.0, 125.0], [0.5, 1.0, 5.0],
+                      randomizer=r)
+        cfg = EstimatorConfig(kernel=K2, bandwidth=7.0)
+        hat = estimate_single_kernel_hat(s, cfg).value
+        assert hat != 0.0 and hat == estimate_single_kernel_check(s, cfg).value
+    # draws from no known randomizer are checked against the config's support
+    s = SampleSet(120.0, [112.0, 119.0], [118.0, 121.0], [1.0, 1.0])
+    cfg = EstimatorConfig(kernel=K2, bandwidth=2.0, randomizer=uniform_randomizer(6.0))
+    for estimate in (estimate_single_kernel_hat, estimate_single_kernel_check):
+        with pytest.raises(OutsideSupport):
+            estimate(s, cfg)
+
+
 def test_uniform_opt_matches_hat():
     rng = np.random.default_rng(2)
     # generating support wider than the kernel window: both use ell(0) of the
@@ -254,18 +272,16 @@ def test_linearity_in_payoff(a, b, seed):
 
 
 def double_kernel_reference(samples, kernel, second, h, r):
-    """Direct O(N^2) transliteration of the leave-one-out construction."""
+    """Direct O(N^2) transliteration of the leave-one-out construction: for
+    each draw i, the sums over every other draw j, taken as one array."""
     n = samples.n
     lam, z, phi = samples.lambdas, samples.states, samples.payoffs
     total = 0.0
     for i in range(n):
-        den = num = 0.0
-        for j in range(n):
-            if j == i:
-                continue
-            hz = second((z[i] - z[j]) / h)
-            den += kernel((lam[i] - lam[j]) / h) * hz
-            num += kernel.gradient((lam[i] - lam[j]) / h) * hz
+        others = np.arange(n) != i
+        hz = second((z[i] - z[others]) / h)
+        den = float(np.sum(kernel((lam[i] - lam[others]) / h) * hz))
+        num = float(np.sum(kernel.gradient((lam[i] - lam[others]) / h) * hz))
         den /= (n - 1) * h * h
         num /= (n - 1) * h**3
         if den < 1e-12 / (h * h):

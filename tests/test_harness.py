@@ -55,8 +55,9 @@ from kernelgreeks import (
     vanilla_call,
 )
 from kernelgreeks import harness
-from kernelgreeks.harness import PILOT_N, _one_replication
-from kernelgreeks.rng import replication_ids, sweep_base
+from kernelgreeks.errors import DegenerateBump
+from kernelgreeks.harness import PILOT_N, CommonRun, _one_replication
+from kernelgreeks.rng import PILOT_OFFSET, rekey, replication_ids, sweep_base
 
 PAPER = GbmParams(spot=120.0, rate=0.0, vol=0.2, maturity=1.0)
 K2 = builtin_kernel("p2")
@@ -107,6 +108,31 @@ def test_seeds_and_stream_ids_stay_below_2_64():
     for key in ((2**64, 0), (0, 2**64), (-1, 0)):
         with pytest.raises(ValueError):
             stream(*key)
+
+
+def test_large_seeds_have_distinct_streams(recwarn):
+    # a key passed as a plain list went through float64: these seeds all
+    # shared one stream, and 2**64 - 1 reran seed 0
+    seeds = (0, 1, 2**63, 2**63 + 5, 2**64 - 1024, 2**64 - 2, 2**64 - 1)
+    draws = {tuple(stream(seed, 3).random(4)) for seed in seeds}
+    assert len(draws) == len(seeds)
+    assert not recwarn.list
+    assert stream(2**64 - 1, 0).bit_generator.state["state"]["key"].tolist() == [2**64 - 1, 0]
+
+
+def test_rekey_matches_a_fresh_stream():
+    gen = stream(5, 1)
+    gen.random(7)
+    gen.standard_normal(3)  # leaves a used counter and a part-used buffer
+    for seed in (4242, 2**64 - 1):
+        for stream_id in (0, sweep_base(0), PILOT_OFFSET, STREAM_REFERENCE, 2**47 + 9):
+            assert rekey(gen, seed, stream_id) is gen
+            fresh = stream(seed, stream_id)
+            assert np.array_equal(gen.random(5), fresh.random(5))
+            assert np.array_equal(gen.standard_normal(9), fresh.standard_normal(9))
+            assert np.array_equal(gen.random(3), fresh.random(3))
+    with pytest.raises(ValueError):
+        rekey(gen, 2**64, 0)
 
 
 def test_effective_randomizer_kind():
@@ -637,11 +663,11 @@ def test_block_errors_name_the_first_failing_replication(monkeypatch, value, err
     # blocks of 4 rows: replications 6 and 9 fail, both inside a block
     monkeypatch.setattr(harness, "_BLOCK_ELEMENTS", 4 * 50)
 
-    def faulty(seed, stream_id):
-        rng = stream(seed, stream_id)
+    def faulty(gen, seed, stream_id):
+        rng = rekey(gen, seed, stream_id)
         return _FaultyStream(rng, value) if stream_id in (6, 9) else rng
 
-    monkeypatch.setattr(harness, "stream", faulty)
+    monkeypatch.setattr(harness, "rekey", faulty)
     cfg = base_config(n_samples=50, replications=11)
     with pytest.raises(error, match="^replication 6: ") as info:
         run_replications(cfg, workers=workers)
@@ -657,11 +683,39 @@ def test_non_finite_block_estimate_names_its_replication(monkeypatch):
 
     monkeypatch.setattr(harness, "_BLOCK_ELEMENTS", 3 * 40)
     monkeypatch.setattr(
-        harness, "stream",
-        lambda seed, i: Infinite(stream(seed, i), 0.0) if i == 4 else stream(seed, i),
+        harness, "rekey",
+        lambda gen, seed, i: Infinite(rekey(gen, seed, i), 0.0) if i == 4
+        else rekey(gen, seed, i),
     )
     cfg = base_config(estimator_id="lr", bandwidth=1.0, n_samples=40, replications=7)
     with pytest.raises(NonFiniteEstimate, match="^replication 4: lr produced"):
+        run_replications(cfg, workers=1)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_antithetic_block_errors_name_the_first_failing_replication(monkeypatch, workers):
+    # every member of the randomizer group fails before the mirrored pass
+    monkeypatch.setattr(harness, "_BLOCK_ELEMENTS", 4 * 25)
+    monkeypatch.setattr(
+        harness, "rekey",
+        lambda gen, seed, i: _FaultyStream(rekey(gen, seed, i), np.nan) if i in (6, 9)
+        else rekey(gen, seed, i),
+    )
+    cfgs = [base_config(estimator_id=eid, n_samples=50, replications=11, antithetic=True)
+            for eid in ("hat", "uniform")]
+    group = CommonRun(cfgs, workers=workers)
+    for cfg in cfgs:
+        with pytest.raises(OutsideSupport, match="^replication 6: ") as info:
+            group.result(cfg)
+        assert isinstance(info.value.__cause__, OutsideSupport)
+
+
+def test_antithetic_non_finite_estimate_names_its_replication():
+    cfg = base_config(estimator_id="exponential", theta=1e6, bandwidth=8.0, n_samples=100,
+                      replications=2, antithetic=True)
+    with np.errstate(all="ignore"), pytest.raises(
+        NonFiniteEstimate, match="^replication 0: exponential produced"
+    ):
         run_replications(cfg, workers=1)
 
 
@@ -686,6 +740,92 @@ def test_block_runtime_is_shared_by_its_rows(monkeypatch):
     res = run_replications(base_config(n_samples=200, replications=7), workers=1)
     assert res.runtime_ms[0] == res.runtime_ms[1] == res.runtime_ms[2] > 0.0
     assert res.runtime_ms[6] > 0.0
+
+
+# -- common draws ------------------------------------------------------------
+
+
+def _common_configs(n, asian, antithetic):
+    """Every estimator on one set of draws: hat, check and uniform share a
+    randomizer, a tilted hat and exponential have one each."""
+    common = dict(n_samples=n, replications=11, seed=616, antithetic=antithetic,
+                  asian=AsianConfig(steps=3) if asian else None)
+    cfgs = [base_config(estimator_id=eid, bandwidth=6.0, **common)
+            for eid in ("hat", "check", "uniform")]
+    cfgs.append(base_config(estimator_id="exponential", bandwidth=6.0, theta=-0.05, **common))
+    cfgs.append(base_config(estimator_id="hat", randomizer_kind="truncexp", theta=0.05,
+                            bandwidth=6.0, **common))
+    if not antithetic:
+        if not asian:
+            cfgs.append(base_config(estimator_id="lr", bandwidth=1.0, **common))
+        cfgs.append(base_config(estimator_id="fd", bandwidth=1.0, **common))
+        if not asian:
+            cfgs.append(base_config(estimator_id="lr", payoff=vanilla_call(110.0),
+                                    bandwidth=1.0, **common))
+        if n < 1000:
+            cfgs.insert(2, base_config(estimator_id="double", bandwidth=6.0, **common))
+    return cfgs
+
+
+@pytest.mark.parametrize("n", [2, 317, 10_000])
+@pytest.mark.parametrize("asian, antithetic", [(False, False), (True, False), (False, True)])
+def test_common_run_matches_separate_runs(monkeypatch, n, asian, antithetic):
+    n += n % 2 if antithetic else 0  # pairs need an even N
+    cfgs = _common_configs(n, asian, antithetic)
+    m = n // 2 if antithetic else n
+    if harness._BLOCK_ELEMENTS // m > 11:
+        monkeypatch.setattr(harness, "_BLOCK_ELEMENTS", 4 * m)
+    want = [run_replications(cfg, workers=1, stream_base=70) for cfg in cfgs]
+    for workers in (1, 2, 4):
+        group = CommonRun(cfgs, workers=workers, stream_base=70)
+        for cfg, b in zip(cfgs, want):
+            a = group.result(cfg)
+            assert a.estimates.tolist() == b.estimates.tolist(), cfg.estimator_id
+            assert (a.h, a.theta, a.epsilon) == (b.h, b.theta, b.epsilon)
+            assert np.all(a.runtime_ms > 0.0)
+
+
+def test_common_run_needs_configs_that_share_their_draws():
+    base = base_config()
+    for change in (dict(model=GbmParams(spot=100.0, rate=0.0, vol=0.2, maturity=1.0)),
+                   dict(asian=AsianConfig(steps=4)), dict(n_samples=1000),
+                   dict(replications=7), dict(seed=1), dict(antithetic=True)):
+        with pytest.raises(ValueError, match="must agree on"):
+            CommonRun([base, base_config(**change)])
+    # the payoff, estimator and plan may differ
+    lr = base_config(estimator_id="lr", payoff=vanilla_call(110.0))
+    group = CommonRun([base, lr])
+    assert np.all(np.isfinite(group.result(lr).estimates))
+    with pytest.raises(ValueError, match="not one of"):
+        group.result(base_config(seed=1))
+    # the group fixes workers and stream base
+    for extra in (dict(workers=1), dict(stream_base=40)):
+        with pytest.raises(ValueError, match="fixes its own"):
+            run_replications(base, common=group, **extra)
+
+
+def test_common_run_keeps_each_configs_error():
+    uniform = base_config(replications=3)
+    fd = base_config(estimator_id="fd", bandwidth=1.0, fd_eps=300.0, replications=3)
+    tilted = base_config(theta=0.1, replications=3)
+    group = CommonRun([fd, uniform, tilted], workers=1)
+    alone = run_replications(uniform)
+    assert group.result(uniform).estimates.tolist() == alone.estimates.tolist()
+    with pytest.raises(DegenerateBump, match="^replication 0: downward bump") as info:
+        group.result(fd)
+    assert isinstance(info.value.__cause__, DegenerateBump)
+    with pytest.raises(RandomizerMismatch, match="^a uniform randomizer cannot carry a tilt"):
+        run_replications(tilted, common=group)
+
+
+def test_common_runtime_is_shared_by_rows_and_estimators(monkeypatch):
+    monkeypatch.setattr(harness, "_BLOCK_ELEMENTS", 3 * 200)
+    cfgs = [base_config(n_samples=200, replications=7),
+            base_config(estimator_id="lr", bandwidth=1.0, n_samples=200, replications=7)]
+    group = CommonRun(cfgs, workers=1)
+    uniform, lr = (group.result(cfg) for cfg in cfgs)
+    assert np.array_equal(uniform.runtime_ms, lr.runtime_ms)
+    assert uniform.runtime_ms[0] == uniform.runtime_ms[2] > 0.0
 
 
 # -- stream-id layout ----------------------------------------------------------
