@@ -257,15 +257,8 @@ def _cmd_compare(ns, parser) -> int:
     if not ids:
         parser.error("--estimator gave an empty list")
     n = _single_n(ns, parser)
-    # the estimators run on common draws, as one group that ends before the
-    # first invalid estimator; its error is reported after the others
-    cfgs, invalid = [], None
-    for estimator_id in ids:
-        try:
-            cfgs.append(_build_config(ns, estimator_id, n))
-        except (ValueError, KernelGreeksError) as exc:
-            invalid = exc
-            break
+    # every config is built, and the first invalid one reported, before any work
+    cfgs = [_experiment_config(ns, parser, estimator_id, n) for estimator_id in ids]
     common = CommonRun(cfgs)
     rows = []
     reference = source = None
@@ -283,10 +276,6 @@ def _cmd_compare(ns, parser) -> int:
             f"{cfg.estimator_id}: {format_real(summary.mean)} +/- {format_real(summary.stderr)}"
             f" (mse = {format_real(summary.mse)})"
         )
-    if isinstance(invalid, ValueError):
-        parser.error(str(invalid))
-    if invalid is not None:
-        raise invalid
     out = write_summary_csv(ns.out, rows)
     mapping = {"command": "compare", **config_mapping(cfgs[0]), "estimator": ",".join(ids)}
     write_config_sidecar(out, mapping)

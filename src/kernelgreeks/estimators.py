@@ -138,15 +138,12 @@ class FdConfig:
 
     alpha: float
     bump: float
-    common_randoms: bool = True
 
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
         if not 0.0 < self.bump < math.inf:
             raise DegenerateBump(f"bump must be positive and finite, got {self.bump!r}")
-        if not self.common_randoms:
-            raise ValueError("independent-draw finite differences are not supported")
 
 
 def _require_support(offsets: np.ndarray, randomizer: Randomizer) -> None:

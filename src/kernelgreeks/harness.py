@@ -47,6 +47,7 @@ from .models import (
     closed_form_vanilla_delta,
     simulate_terminal,
 )
+from .models import _pipelined_unit_averages
 from .randomizers import Randomizer
 from .rng import PILOT_OFFSET, STREAM_REFERENCE, rekey, replication_ids, stream, sweep_base
 
@@ -661,6 +662,8 @@ def tune_fd_bump(
     and the variance from the per-sample spread; both use one shared
     pilot sample.
     """
+    if pilot_n < 2 or n_target < 1:
+        raise ValueError(f"need pilot_n >= 2 and n_target >= 1, got {pilot_n} and {n_target}")
     base = asian_unit_averages(model, asian, stream(seed, STREAM_REFERENCE), pilot_n)
     best_eps, best_score = None, np.inf
     for frac in _FD_BUMP_FRACTIONS:
@@ -686,17 +689,42 @@ def asian_fd_reference(
     Uses the tuned bump and a single sequential stream, accumulating in
     fixed-size chunks so memory stays bounded and the result is
     reproducible.
+
+    Three things overlap, on two pool threads and the caller: one thread
+    tunes the bump on its own stream, the other draws the next 2^18-normal
+    block of the reference stream into one of two reused buffers, and the
+    caller averages the block before it and reduces each full chunk, the
+    first one once the bump is known. Each stream has one draw in flight
+    at a time, in order, and the chunks, their sums and the order in which
+    they are added are those of the serial loop, so the result equals it
+    bit for bit. At M = 50 on a 2-vCPU Xeon one call takes 0.6-0.75 s at
+    5e5 paths (0.85-1.1 s serially) and about 13 s at 1e7 (17.3-17.9 s).
+    Drawing the reference stream alone takes 11.3-12.3 s at 1e7, which
+    bounds this design from below (BENCH_asian_reference.json).
     """
-    eps = tune_fd_bump(model, payoff, asian, seed, n_target=n)
-    rng = stream(seed, STREAM_REFERENCE + 1)
-    total = 0.0
-    done = 0
-    up, down = model.spot + 0.5 * eps, model.spot - 0.5 * eps
-    while done < n:
-        m = min(_REFERENCE_CHUNK, n - done)
-        base = asian_unit_averages(model, asian, rng, m)
-        total += float(np.sum(payoff(up * base) - payoff(down * base)))
-        done += m
+    if n < 1:
+        raise ValueError(f"need n >= 1 paths, got {n}")
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        bump = pool.submit(tune_fd_bump, model, payoff, asian, seed, n_target=n)
+        rng = stream(seed, STREAM_REFERENCE + 1)
+        blocks = _pipelined_unit_averages(model, asian, rng, n, pool)
+        chunk = np.empty(min(n, _REFERENCE_CHUNK))
+        averages = np.empty(0)
+        total = 0.0
+        for done in range(0, n, _REFERENCE_CHUNK):
+            base = chunk[: min(_REFERENCE_CHUNK, n - done)]
+            filled = 0
+            while filled < base.size:
+                if not averages.size:
+                    averages = next(blocks)
+                take = min(base.size - filled, averages.size)
+                base[filled : filled + take] = averages[:take]
+                averages = averages[take:]
+                filled += take
+            if done == 0:
+                eps = bump.result()
+                up, down = model.spot + 0.5 * eps, model.spot - 0.5 * eps
+            total += float(np.sum(payoff(up * base) - payoff(down * base)))
     return total / (n * eps)
 
 

@@ -177,6 +177,34 @@ def asian_unit_averages(
     return out
 
 
+def _pipelined_unit_averages(
+    g: GbmParams, cfg: AsianConfig, rng: np.random.Generator, n: int, pool
+):
+    """Yield the unit-spot averages of n paths block by block, while a task
+    on ``pool`` draws the next block's normals.
+
+    The blocks and their values are those of ``asian_unit_averages``.
+    Each draw goes into one of two reused buffers and starts only after
+    the previous draw has finished, so the stream is consumed in order;
+    the caller averages block k while block k + 1 is drawn.
+    """
+    rows = max(1, min(n, _ASIAN_BLOCK // cfg.steps))
+    ring = (np.empty((rows, cfg.steps)), np.empty((rows, cfg.steps)))
+
+    def draw(k: int):
+        part = ring[k % 2][: min(rows, n - k * rows)]
+        rng.standard_normal(out=part)
+        return part
+
+    blocks = -(-n // rows)
+    pending = pool.submit(draw, 0)
+    for k in range(blocks):
+        part = pending.result()
+        if k + 1 < blocks:
+            pending = pool.submit(draw, k + 1)
+        yield np.atleast_1d(simulate_asian(g, cfg, part, 1.0))
+
+
 # -- lognormal analytics ---------------------------------------------------
 
 

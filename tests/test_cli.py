@@ -19,6 +19,7 @@ from kernelgreeks import (
     run_replications,
     summarize,
 )
+from kernelgreeks import cli
 from kernelgreeks.cli import main
 from kernelgreeks.export import (
     KDE_COLUMNS,
@@ -329,6 +330,31 @@ def test_compare_skips_kde_for_few_replications(tmp_path, capsys):
     capsys.readouterr()
     assert out_csv.exists()
     assert not (tmp_path / "cmp.kde.lr.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--estimator", "uniform,bogus,lr"],
+        ["--estimator", "uniform,lr", "--antithetic"],
+        ["--estimator", "uniform,fd,lr", "--asian-steps", "4"],
+    ],
+)
+def test_compare_rejects_an_invalid_estimator_before_any_work(tmp_path, capsys, monkeypatch,
+                                                                extra):
+    def no_work(*args, **kwargs):
+        raise AssertionError("compare started work before checking every estimator")
+
+    monkeypatch.setattr(cli, "CommonRun", no_work)
+    monkeypatch.setattr(cli, "reference_value", no_work)
+    with pytest.raises(SystemExit) as exc:
+        run_cli("compare", "--n", "2000", "--reps", "12", "--out", str(tmp_path / "x.csv"),
+                *extra)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len([line for line in captured.err.splitlines() if "error: " in line]) == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_config_file_merges_and_flags_override(tmp_path, capsys):

@@ -469,8 +469,6 @@ def test_fd_config_validation():
         FdConfig(alpha=1.5, bump=0.5)
     with pytest.raises(DegenerateBump):
         FdConfig(alpha=0.5, bump=0.0)
-    with pytest.raises(ValueError):
-        FdConfig(alpha=0.5, bump=0.5, common_randoms=False)
 
 
 def test_fd_identity_payoff_cancels_exactly():

@@ -1,6 +1,8 @@
 """Replication engine: streams, determinism, summaries, rate fits, references."""
 
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -54,9 +56,10 @@ from kernelgreeks import (
     uniform_randomizer,
     vanilla_call,
 )
-from kernelgreeks import harness
+from kernelgreeks import harness, models
 from kernelgreeks.errors import DegenerateBump
 from kernelgreeks.harness import PILOT_N, CommonRun, _one_replication
+from kernelgreeks.models import asian_unit_averages
 from kernelgreeks.rng import PILOT_OFFSET, rekey, replication_ids, sweep_base
 
 PAPER = GbmParams(spot=120.0, rate=0.0, vol=0.2, maturity=1.0)
@@ -327,6 +330,132 @@ def test_tuned_bump_is_a_candidate():
 def test_asian_reference_smoke():
     ref = asian_fd_reference(PAPER, digital_call(120.0), AsianConfig(steps=10), 7, n=400_000)
     assert 0.005 < ref < 0.05
+
+
+def serial_fd_reference(model, payoff, asian, seed, n, averages=None):
+    """The FD reference as a direct serial loop: tune the bump, then draw and
+    reduce one 200,000-path chunk after the other. ``averages``, when given,
+    holds each chunk's unit-spot averages from an earlier call."""
+    eps = harness.tune_fd_bump(model, payoff, asian, seed, n_target=n)
+    if averages is None:
+        rng = stream(seed, STREAM_REFERENCE + 1)
+        sizes = [min(harness._REFERENCE_CHUNK, n - done)
+                 for done in range(0, n, harness._REFERENCE_CHUNK)]
+        averages = [asian_unit_averages(model, asian, rng, m) for m in sizes]
+    up, down = model.spot + 0.5 * eps, model.spot - 0.5 * eps
+    total = 0.0
+    for base in averages:
+        total += float(np.sum(payoff(up * base) - payoff(down * base)))
+    return total / (n * eps), averages
+
+
+REFERENCE_PAYOFFS = [digital_call(120.0), vanilla_call(110.0), identity_payoff(),
+                     constant_payoff(3.0)]
+
+
+@pytest.mark.parametrize("steps", [1, 7, 50])
+@pytest.mark.parametrize("scheme", ["trapezoid", "left"])
+def test_pipelined_reference_matches_serial_loop(monkeypatch, steps, scheme):
+    # a small bump pilot keeps the grid quick; the pilot does not touch the
+    # pipeline, and the real one runs in the next test
+    tune = harness.tune_fd_bump
+    monkeypatch.setattr(harness, "tune_fd_bump",
+                        lambda *args, n_target: tune(*args, n_target=n_target, pilot_n=2000))
+    asian = AsianConfig(steps=steps, scheme=scheme)
+    rows = models._ASIAN_BLOCK // steps
+    for n in (1, rows - 1, rows + 1, 200_001, 450_003):
+        averages = None
+        for payoff in REFERENCE_PAYOFFS:
+            want, averages = serial_fd_reference(PAPER, payoff, asian, 11, n, averages)
+            got = asian_fd_reference(PAPER, payoff, asian, 11, n=n)
+            assert got.hex() == want.hex(), (n, payoff.kind)
+
+
+def test_pipelined_reference_matches_serial_loop_with_full_pilot():
+    asian = AsianConfig(steps=50)
+    n = models._ASIAN_BLOCK // 50 + 1
+    want, _ = serial_fd_reference(PAPER, digital_call(120.0), asian, 5, n)
+    assert asian_fd_reference(PAPER, digital_call(120.0), asian, 5, n=n).hex() == want.hex()
+
+
+def test_pipelined_reference_under_frequent_thread_switches(monkeypatch):
+    # many small blocks and a short switch interval: a draw that overwrote a
+    # block still being averaged, or ran out of order, would change the bits
+    monkeypatch.setattr(models, "_ASIAN_BLOCK", 7 * 16)
+    asian = AsianConfig(steps=7)
+    want, _ = serial_fd_reference(PAPER, digital_call(120.0), asian, 2, 4001)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = asian_fd_reference(PAPER, digital_call(120.0), asian, 2, n=4001)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got.hex() == want.hex()
+
+
+class _DrawFault(Exception):
+    pass
+
+
+@pytest.mark.parametrize("where", ["reference", "bump"])
+def test_reference_errors_propagate_and_threads_are_joined(monkeypatch, where):
+    faulty_id = STREAM_REFERENCE + (1 if where == "reference" else 0)
+
+    class FaultyGenerator:
+        """Fails on its third draw."""
+
+        def __init__(self, gen):
+            self.gen, self.draws = gen, 0
+
+        def standard_normal(self, *args, **kwargs):
+            self.draws += 1
+            if self.draws == 3:
+                raise _DrawFault("third draw")
+            return self.gen.standard_normal(*args, **kwargs)
+
+    def patched_stream(seed, stream_id):
+        gen = stream(seed, stream_id)
+        return FaultyGenerator(gen) if stream_id == faulty_id else gen
+
+    monkeypatch.setattr(harness, "stream", patched_stream)
+    monkeypatch.setattr(models, "_ASIAN_BLOCK", 50 * 1000)
+    before = threading.active_count()
+    with pytest.raises(_DrawFault):
+        asian_fd_reference(PAPER, digital_call(120.0), AsianConfig(steps=50), 3, n=10_000)
+    assert threading.active_count() == before
+
+
+def test_pipelined_reference_memory_is_bounded():
+    # ring of two 2 MiB draw buffers, one 200,000-path chunk with its payoff
+    # temporaries, and the bump pilot running alongside; the serial loop
+    # peaked at 7.2 MiB
+    asian_fd_reference(PAPER, digital_call(120.0), AsianConfig(steps=50), 5, n=1000)
+    tracemalloc.start()
+    try:
+        asian_fd_reference(PAPER, digital_call(120.0), AsianConfig(steps=50), 5, n=10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: asian_fd_reference(PAPER, digital_call(120.0), AsianConfig(steps=5), 1, n=0),
+        lambda: asian_fd_reference(PAPER, digital_call(120.0), AsianConfig(steps=5), 1, n=-5),
+        lambda: tune_fd_bump(PAPER, digital_call(120.0), AsianConfig(steps=5), 1, 10, pilot_n=1),
+        lambda: tune_fd_bump(PAPER, digital_call(120.0), AsianConfig(steps=5), 1, 10, pilot_n=0),
+        lambda: tune_fd_bump(PAPER, digital_call(120.0), AsianConfig(steps=5), 1, 0),
+    ],
+)
+def test_reference_inputs_are_checked_before_any_draw(monkeypatch, call):
+    def no_stream(*args):
+        raise AssertionError("drew before checking the inputs")
+
+    monkeypatch.setattr(harness, "stream", no_stream)
+    with pytest.raises(ValueError):
+        call()
 
 
 # -- summaries ---------------------------------------------------------------------
