@@ -112,25 +112,19 @@ from .models import (
     closed_form_identity_delta,
     closed_form_vanilla_delta,
     constant_payoff,
-    density_f,
-    density_ratio,
     digital_call,
     identity_payoff,
     law_density,
     law_density_ratio,
     law_standardized_d,
     lognormal_params,
-    score,
     score_coefficients,
     simulate_asian,
     simulate_terminal,
-    standardized_d,
     vanilla_call,
 )
 from .randomizers import (
-    OffsetSample,
     Randomizer,
-    antithetic_of,
     truncexp_randomizer,
     uniform_randomizer,
 )
@@ -152,10 +146,8 @@ __all__ = [
     "gauss_legendre_integral",
     # randomization
     "Randomizer",
-    "OffsetSample",
     "uniform_randomizer",
     "truncexp_randomizer",
-    "antithetic_of",
     # models
     "GbmParams",
     "LognormalLaw",
@@ -169,10 +161,6 @@ __all__ = [
     "law_standardized_d",
     "law_density_ratio",
     "score_coefficients",
-    "density_f",
-    "standardized_d",
-    "density_ratio",
-    "score",
     "digital_call",
     "vanilla_call",
     "identity_payoff",

@@ -189,41 +189,79 @@ def _finite(values, estimator_id: str):
     return values
 
 
-# The *_rows functions below hold each estimator's formula once. They take
-# the payoffs and the offsets lambda0 - Lambda_i with the draws along the
-# last axis, so a (B, N) block yields B estimates; every row is reduced in
-# the same operation order as a single (N,) sample set, so both give the
-# same bits. The public estimators call them with one row. The sums are
-# formed in place on the kernel values, which spares a temporary per term.
+@dataclass(frozen=True)
+class _KernelSum:
+    """One single-kernel formula whose checks have passed: with u = offsets / h
+    and the draws along the last axis, the rows
+
+        sum(phi * (K(u) * tilt[0] * tilt[1] ... + K'(u))) / (ell0 * N * h * h),
+
+    or, with ``tilt`` None, 2 eps * sum(phi * K'(u)) / (N * h * h). hat and
+    check take the tilt (h, grad log ell), exponential (theta h,) and uniform
+    none. Every row is reduced in the same operation order as a single (N,)
+    sample set, so a (B, N) block gives the same bits as B separate calls,
+    and equal formulas give equal bits on the same terms.
+    """
+
+    h: float
+    tilt: tuple | None = None
+    ell0: float = 1.0
+    eps: float = 0.0
+
+    def rows(self, payoffs, grad, value, out=None) -> np.ndarray:
+        """The rows from K'(u) in ``grad`` and K(u) in ``value`` (unused
+        without a tilt). ``out`` may be the one of them that the formula
+        reads last, K(u) with a tilt and K'(u) without, which it then
+        overwrites; otherwise both are left as they are."""
+        n = payoffs.shape[-1]
+        if self.tilt is None:
+            terms = np.multiply(grad, payoffs, out=out)
+            return 2.0 * self.eps * np.sum(terms, axis=-1) / (n * self.h * self.h)
+        first, *rest = self.tilt
+        terms = np.multiply(value, first, out=out)
+        for factor in rest:
+            terms *= factor
+        terms += grad
+        terms *= payoffs
+        return np.sum(terms, axis=-1) / (self.ell0 * n * self.h * self.h)
 
 
-def _single_kernel_rows(
-    gen: Randomizer | None, config: EstimatorConfig, payoffs, offsets
-) -> np.ndarray:
+def _kernel_terms(kernel: Kernel, h: float, offsets, values: bool, out=None) -> tuple:
+    """K'(u) and, when ``values``, K(u) (else None) at u = offsets / h. u goes
+    into ``out``, which may be ``offsets`` itself, else into a temporary
+    that is dropped before the terms are returned."""
+    u = np.divide(offsets, h, out=out)
+    return kernel.gradient(u), kernel(u) if values else None
+
+
+def _kernel_sum_rows(kernel: Kernel, formula: _KernelSum, payoffs, offsets) -> np.ndarray:
+    """``formula`` on its own kernel terms; it overwrites ``offsets`` and the
+    terms."""
+    grad, value = _kernel_terms(kernel, formula.h, offsets, formula.tilt is not None, offsets)
+    return formula.rows(payoffs, grad, value, out=grad if value is None else value)
+
+
+# The *_sum functions below run an estimator's checks and return its
+# formula. They take the offsets lambda0 - Lambda_i with the draws along the
+# last axis. The public estimators reduce one row with the formula; the
+# harness shares the kernel terms of a block among its estimators.
+
+
+def _single_kernel_sum(gen: Randomizer | None, config: EstimatorConfig, offsets) -> _KernelSum:
     h = _require_bandwidth(config.bandwidth)
     r = _resolve_randomizer(gen, config)
     if gen is None:  # no generating randomizer checked these draws
         _require_support(offsets, r)
-    kernel = config.kernel
-    u = offsets / h
     # the log-density gradient is constant on the support, so its value at
     # each drawn offset is its value at 0
-    grad_log = r.grad_log_density(0.0)
-    # payoffs * (K'(u) + h * K(u) * grad_log)
-    terms = kernel.gradient(u)
-    weight = kernel(u)
-    weight *= h
-    weight *= grad_log
-    terms += weight
-    terms *= payoffs
-    return np.sum(terms, axis=-1) / (r.density_at_zero() * payoffs.shape[-1] * h * h)
+    return _KernelSum(h, (h, r.grad_log_density(0.0)), ell0=r.density_at_zero())
 
 
 def _single_kernel(samples: SampleSet, config: EstimatorConfig, tag: str) -> Estimate:
     _require_draws(samples)
-    value = _single_kernel_rows(
-        samples.randomizer, config, samples.payoffs, samples.lambda0 - samples.lambdas
-    )
+    offsets = samples.lambda0 - samples.lambdas
+    formula = _single_kernel_sum(samples.randomizer, config, offsets)
+    value = _kernel_sum_rows(config.kernel, formula, samples.payoffs, offsets)
     return Estimate(float(_finite(value, tag)), samples.n, tag)
 
 
@@ -255,26 +293,22 @@ def _coupled_epsilon(gen: Randomizer | None, kernel: Kernel, h: float, kind: str
     return gen.epsilon
 
 
-def _uniform_rows(gen: Randomizer | None, kernel: Kernel, bandwidth: float, payoffs, offsets):
+def _uniform_sum(gen: Randomizer | None, kernel: Kernel, bandwidth: float) -> _KernelSum:
     h = _require_bandwidth(bandwidth)
-    eps = _coupled_epsilon(gen, kernel, h, "uniform")
-    terms = kernel.gradient(offsets / h)
-    terms *= payoffs
-    return 2.0 * eps * np.sum(terms, axis=-1) / (payoffs.shape[-1] * h * h)
+    return _KernelSum(h, eps=_coupled_epsilon(gen, kernel, h, "uniform"))
 
 
 def estimate_uniform_opt(samples: SampleSet, kernel: Kernel, bandwidth: float) -> Estimate:
     """Optimized uniform-randomization estimator, support coupled as eps = M h."""
     _require_draws(samples)
-    value = _uniform_rows(
-        samples.randomizer, kernel, bandwidth, samples.payoffs, samples.lambda0 - samples.lambdas
-    )
+    formula = _uniform_sum(samples.randomizer, kernel, bandwidth)
+    value = _kernel_sum_rows(kernel, formula, samples.payoffs, samples.lambda0 - samples.lambdas)
     return Estimate(float(_finite(value, "uniform")), samples.n, "uniform")
 
 
-def _exponential_rows(
-    gen: Randomizer | None, kernel: Kernel, bandwidth: float, theta: float | None, payoffs, offsets
-):
+def _exponential_sum(
+    gen: Randomizer | None, kernel: Kernel, bandwidth: float, theta: float | None
+) -> _KernelSum:
     h = _require_bandwidth(bandwidth)
     if theta is None:
         if gen is None:
@@ -287,14 +321,7 @@ def _exponential_rows(
         raise RandomizerMismatch(f"theta {theta} disagrees with the generating tilt {gen.theta}")
     eps = _coupled_epsilon(gen, kernel, h, kind)
     ell0 = Randomizer(kind="truncexp", epsilon=eps, theta=theta).density_at_zero()
-    u = offsets / h
-    # payoffs * (K'(u) + theta * h * K(u))
-    terms = kernel.gradient(u)
-    weight = kernel(u)
-    weight *= theta * h
-    terms += weight
-    terms *= payoffs
-    return np.sum(terms, axis=-1) / (ell0 * payoffs.shape[-1] * h * h)
+    return _KernelSum(h, (theta * h,), ell0=ell0)
 
 
 def estimate_exponential_opt(
@@ -302,10 +329,8 @@ def estimate_exponential_opt(
 ) -> Estimate:
     """Optimized exponential-randomization estimator; theta = 0 is the uniform one."""
     _require_draws(samples)
-    value = _exponential_rows(
-        samples.randomizer, kernel, bandwidth, theta, samples.payoffs,
-        samples.lambda0 - samples.lambdas,
-    )
+    formula = _exponential_sum(samples.randomizer, kernel, bandwidth, theta)
+    value = _kernel_sum_rows(kernel, formula, samples.payoffs, samples.lambda0 - samples.lambdas)
     return Estimate(float(_finite(value, "exponential")), samples.n, "exponential")
 
 

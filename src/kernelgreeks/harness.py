@@ -28,13 +28,15 @@ from .estimators import (
     estimate_double_kernel,
 )
 from .estimators import (
-    _exponential_rows,
+    _exponential_sum,
     _finite,
     _finite_difference_rows,
+    _kernel_terms,
+    _KernelSum,
     _likelihood_ratio_rows,
     _require_support,
-    _single_kernel_rows,
-    _uniform_rows,
+    _single_kernel_sum,
+    _uniform_sum,
 )
 from .kernels import Kernel, builtin_kernel
 from .models import (
@@ -340,7 +342,8 @@ def _evaluate_block(members, first_id: int, gen, draws, unit) -> list:
     noise, reduced to unit-spot states in ``unit``. That is exactly what a
     lone replication draws, in the same order. Kernel estimators with equal
     randomizer and payoff share one pass of offsets, spots, states, payoffs
-    and support check; each further randomizer draws the uniforms again.
+    and support check, and per kernel and h the kernel terms
+    (:func:`_kernel_rows`); each further randomizer draws the uniforms again.
     Each member's rows are then reduced in the same operation order as a
     lone replication, so the estimates are the same bits. A failed check
     stops the members it concerns for the whole block.
@@ -413,8 +416,17 @@ def _noise_rows(cfg: ExperimentConfig, unit, consume: bool) -> np.ndarray:
 def _kernel_rows(members, lams, unit) -> list:
     """Each member's single-kernel estimates of the draws at spots ``lams``,
     one per row, or the exception that stopped it; the members share
-    randomizer and payoff. ``lams`` is overwritten with the offsets
-    spot - lams."""
+    randomizer and payoff. ``lams`` serves as scratch and is overwritten.
+
+    Offsets, states, payoffs and the support check serve every member.
+    Each member then runs its own checks, which yield its formula. Members
+    with equal kernel and h share u = offsets / h, K'(u) and K(u), the
+    latter only if a formula reads it; u is dropped before the formulas
+    run, and the last such group takes it in place of the offsets. Equal
+    formulas, as hat and check are, reduce once. The last formula to read
+    K(u) and the last to read K'(u) (uniform, ordered last) overwrite it,
+    so the members hold no more (rows, N) arrays at once than one alone.
+    """
     cfg, plan = members[0]
     states = np.multiply(lams, unit)
     payoffs = cfg.payoff(states, out=states)
@@ -422,21 +434,65 @@ def _kernel_rows(members, lams, unit) -> list:
     outside = _attempt(_require_support, offsets, plan.randomizer)
     if outside is not None:
         return [outside] * len(members)
-    return [_attempt(_kernel_estimates, c, p, payoffs, offsets) for c, p in members]
+    outcomes = [_attempt(_checked_formula, c, p, offsets) for c, p in members]
+    # terms key -> (kernel, {formula: (formula, its members)}); repr tells a
+    # tilt of -0.0 from 0.0, which == does not
+    shared = {}
+    for i, formula in enumerate(outcomes):
+        if not isinstance(formula, Exception):
+            kernel = members[i][1].kernel
+            readers = shared.setdefault(_terms_key(kernel, formula.h), (kernel, {}))[1]
+            readers.setdefault(repr(formula), (formula, []))[1].append(i)
+    for g, (kernel, readers) in enumerate(shared.values()):
+        groups = sorted(readers.values(), key=lambda group: group[0].tilt is None)
+        formulas = [f for f, _ in groups]
+        results = _shared_rows(kernel, formulas, payoffs, offsets, g == len(shared) - 1)
+        for rows, (_, idx) in zip(results, groups):
+            for i in idx:
+                eid = members[i][0].estimator_id
+                outcomes[i] = rows if isinstance(rows, Exception) else _attempt(_finite, rows, eid)
+    return outcomes
 
 
-def _kernel_estimates(cfg: ExperimentConfig, plan: _RunPlan, payoffs, offsets) -> np.ndarray:
+def _shared_rows(kernel: Kernel, formulas: list, payoffs, offsets, consume: bool) -> list:
+    """The rows of each of ``formulas``, which share h and list those with a
+    tilt first, from one evaluation of the kernel terms; or the exception
+    that stopped it. The last formula with a tilt overwrites K(u), and a
+    last one without overwrites K'(u). With ``consume``, u = offsets / h
+    overwrites the offsets."""
+    tilted = sum(f.tilt is not None for f in formulas)
+    u = offsets if consume else None
+    terms = _attempt(_kernel_terms, kernel, formulas[0].h, offsets, tilted > 0, u)
+    if isinstance(terms, Exception):
+        return [terms] * len(formulas)
+    grad, value = terms
+    results = []
+    for k, f in enumerate(formulas):
+        if k == tilted - 1:
+            out = value
+        elif k == len(formulas) - 1 and k >= tilted:
+            out = grad
+        else:
+            out = None
+        results.append(_attempt(f.rows, payoffs, grad, value, out))
+    return results
+
+
+def _terms_key(kernel: Kernel, h: float) -> tuple:
+    """What K(u) and K'(u) at u = offsets / h depend on."""
+    coeffs = None if kernel.coeffs is None else kernel.coeffs.tobytes()
+    return kernel.support_radius, coeffs, kernel.func, kernel.grad, h
+
+
+def _checked_formula(cfg: ExperimentConfig, plan: _RunPlan, offsets) -> _KernelSum:
+    """The checked formula of a kernel estimator of the draws at ``offsets``."""
     eid = cfg.estimator_id
     if eid == "uniform":
-        values = _uniform_rows(plan.randomizer, plan.kernel, plan.h, payoffs, offsets)
-    elif eid == "exponential":
-        values = _exponential_rows(
-            plan.randomizer, plan.kernel, plan.h, plan.theta, payoffs, offsets
-        )
-    else:
-        ec = EstimatorConfig(kernel=plan.kernel, bandwidth=plan.h, randomizer=plan.randomizer)
-        values = _single_kernel_rows(plan.randomizer, ec, payoffs, offsets)
-    return _finite(values, eid)
+        return _uniform_sum(plan.randomizer, plan.kernel, plan.h)
+    if eid == "exponential":
+        return _exponential_sum(plan.randomizer, plan.kernel, plan.h, plan.theta)
+    ec = EstimatorConfig(kernel=plan.kernel, bandwidth=plan.h, randomizer=plan.randomizer)
+    return _single_kernel_sum(plan.randomizer, ec, offsets)
 
 
 def _with_index(exc: Exception, j: int) -> Exception:
@@ -665,11 +721,19 @@ def tune_fd_bump(
     if pilot_n < 2 or n_target < 1:
         raise ValueError(f"need pilot_n >= 2 and n_target >= 1, got {pilot_n} and {n_target}")
     base = asian_unit_averages(model, asian, stream(seed, STREAM_REFERENCE), pilot_n)
+    # three pilot-sized buffers serve every candidate: the differences are
+    # formed in place, which spares the pool thread's allocator some ten
+    # fresh arrays per candidate
+    up, full, half = (np.empty_like(base) for _ in range(3))
     best_eps, best_score = None, np.inf
     for frac in _FD_BUMP_FRACTIONS:
         eps = frac * model.spot
-        full = (payoff((model.spot + 0.5 * eps) * base) - payoff((model.spot - 0.5 * eps) * base)) / eps
-        half = (payoff((model.spot + 0.25 * eps) * base) - payoff((model.spot - 0.25 * eps) * base)) / (0.5 * eps)
+        for diff, bump, width in ((full, 0.5 * eps, eps), (half, 0.25 * eps, 0.5 * eps)):
+            # (payoff((spot + bump) base) - payoff((spot - bump) base)) / width
+            payoff(np.multiply(model.spot + bump, base, out=up), out=up)
+            payoff(np.multiply(model.spot - bump, base, out=diff), out=diff)
+            np.subtract(up, diff, out=diff)
+            diff /= width
         bias = (float(np.mean(full)) - float(np.mean(half))) / 0.75
         score = bias * bias + float(np.var(full, ddof=1)) / n_target
         if score < best_score:

@@ -98,14 +98,27 @@ class Kernel:
         return None if self.coeffs is None else npoly.polyder(self.coeffs)
 
     def _evaluate(self, u, coeffs, func):
+        """The polynomial ``coeffs`` or ``func`` at u, zero outside the support.
+
+        Horner's rule runs in place, in numpy.polynomial.polyval's order.
+        polyval starts from (u * 0 + c[-1]) * u + c[-2]; with a non-zero
+        leading coefficient that is c[-1] * u + c[-2] bit for bit wherever
+        u is finite, and a non-finite u lies outside the support, so the
+        loop starts there and saves two passes over u.
+        """
         u = np.asarray(u, dtype=float)
         out = np.empty_like(u)
         outside = ~(np.abs(u, out=out) <= self.support_radius)  # NaN too
         if coeffs is not None:
-            # Horner's rule in place, in numpy.polynomial.polyval's order
-            np.multiply(u, 0.0, out=out)
-            out += coeffs[-1]
-            for c in coeffs[-2::-1]:
+            if len(coeffs) > 1 and coeffs[-1] != 0.0:
+                np.multiply(u, coeffs[-1], out=out)
+                out += coeffs[-2]
+                rest = coeffs[-3::-1]
+            else:
+                np.multiply(u, 0.0, out=out)
+                out += coeffs[-1]
+                rest = coeffs[-2::-1]
+            for c in rest:
                 out *= u
                 out += c
         else:

@@ -29,11 +29,7 @@ __all__ = [
     "simulate_terminal",
     "simulate_asian",
     "asian_unit_averages",
-    "density_f",
-    "standardized_d",
     "score_coefficients",
-    "density_ratio",
-    "score",
     "digital_call",
     "vanilla_call",
     "identity_payoff",
@@ -272,26 +268,6 @@ def law_density_ratio(law: LognormalLaw, x: float, z, k: int):
     coeffs = np.asarray(score_coefficients(law, k).a)
     out = np.polynomial.polynomial.polyval(np.asarray(d), coeffs) / x**k
     return float(out) if np.ndim(out) == 0 else out
-
-
-def density_f(g: GbmParams, z, spot=None):
-    x = g.spot if spot is None else spot
-    return law_density(lognormal_params(g), x, z)
-
-
-def standardized_d(g: GbmParams, z, spot=None):
-    x = g.spot if spot is None else spot
-    return law_standardized_d(lognormal_params(g), x, z)
-
-
-def density_ratio(g: GbmParams, z, k: int, spot=None):
-    x = g.spot if spot is None else spot
-    return law_density_ratio(lognormal_params(g), x, z, k)
-
-
-def score(g: GbmParams, z, spot=None):
-    """The score d ln f/dx = d(x, z)/x, the minimum-variance delta weight."""
-    return density_ratio(g, z, 1, spot=spot)
 
 
 # -- payoffs ----------------------------------------------------------------

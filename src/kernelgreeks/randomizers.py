@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import OutsideSupport
 
-__all__ = ["Randomizer", "OffsetSample", "uniform_randomizer", "truncexp_randomizer", "antithetic_of"]
+__all__ = ["Randomizer", "uniform_randomizer", "truncexp_randomizer"]
 
 # switch to the series expansion of the normalization below this |theta*eps|
 _SMALL_TILT = 1e-6
@@ -30,14 +30,6 @@ _SMALL_TILT = 1e-6
 # from this |theta*eps| on, the normalization is taken in log space, where it
 # underflows to 0 instead of overflowing (sinh overflows beyond 710)
 _LARGE_TILT = 700.0
-
-
-@dataclass(frozen=True)
-class OffsetSample:
-    """One randomized draw: the offset l and the shifted parameter lambda0 - l."""
-
-    offset: float
-    lam: float
 
 
 @dataclass(frozen=True)
@@ -137,11 +129,6 @@ class Randomizer:
         np.clip(out, -self.epsilon, self.epsilon, out=out)
         return float(out) if out.ndim == 0 else out
 
-    def sample_offset(self, u: float, lambda0: float) -> OffsetSample:
-        """Single inverse-CDF draw packaged with the shifted parameter."""
-        l = float(self.sample_offsets(u))
-        return OffsetSample(offset=l, lam=lambda0 - l)
-
     def cdf(self, l):
         """Analytic CDF on the support (used by distributional tests)."""
         l = np.asarray(l, dtype=float)
@@ -162,8 +149,3 @@ def uniform_randomizer(epsilon: float) -> Randomizer:
 
 def truncexp_randomizer(epsilon: float, theta: float) -> Randomizer:
     return Randomizer(kind="truncexp", epsilon=epsilon, theta=theta)
-
-
-def antithetic_of(sample: OffsetSample, lambda0: float) -> OffsetSample:
-    """Reflect a draw about lambda0: offset flips sign for both density kinds."""
-    return OffsetSample(offset=-sample.offset, lam=lambda0 + sample.offset)

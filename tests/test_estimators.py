@@ -35,8 +35,8 @@ from kernelgreeks import (
     estimate_single_kernel_hat,
     estimate_uniform_opt,
     identity_payoff,
+    law_density_ratio,
     lognormal_params,
-    score,
     simulate_terminal,
     truncexp_randomizer,
     uniform_randomizer,
@@ -425,7 +425,7 @@ def test_pure_lr_is_score_weighted_mean():
     payoff = digital_call(120.0)
     s = SampleSet(120.0, np.full(n, 120.0), z, payoff(z))
     est = estimate_oracle_score(s, PAPER)
-    assert est.value == pytest.approx(np.mean(payoff(z) * score(PAPER, z)), rel=1e-13)
+    assert est.value == pytest.approx(np.mean(payoff(z) * law_density_ratio(lognormal_params(PAPER), 120.0, z, 1)), rel=1e-13)
     assert est.estimator_id == "lr"
 
 
@@ -434,7 +434,7 @@ def test_lr_score_mean_zero():
     n = 200_000
     z = simulate_terminal(PAPER, rng.standard_normal(n))
     s = SampleSet(120.0, np.full(n, 120.0), z, np.ones(n))
-    vals = score(PAPER, z)
+    vals = law_density_ratio(lognormal_params(PAPER), 120.0, z, 1)
     est = estimate_oracle_score(s, PAPER)
     assert abs(est.value) <= 3.0 * vals.std(ddof=1) / math.sqrt(n)
 

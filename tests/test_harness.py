@@ -4,6 +4,7 @@ import math
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,8 +17,10 @@ from kernelgreeks import (
     EstimatorConfig,
     ExperimentConfig,
     FdConfig,
+    DegenerateBandwidth,
     GbmParams,
     InsufficientReplications,
+    Kernel,
     InsufficientSamples,
     NonFiniteEstimate,
     NonPositiveVariance,
@@ -29,6 +32,7 @@ from kernelgreeks import (
     asian_fd_reference,
     builtin_kernel,
     closed_form_digital_delta,
+    custom_kernel,
     closed_form_identity_delta,
     closed_form_vanilla_delta,
     constant_payoff,
@@ -955,6 +959,105 @@ def test_common_runtime_is_shared_by_rows_and_estimators(monkeypatch):
     uniform, lr = (group.result(cfg) for cfg in cfgs)
     assert np.array_equal(uniform.runtime_ms, lr.runtime_ms)
     assert uniform.runtime_ms[0] == uniform.runtime_ms[2] > 0.0
+
+
+# -- shared kernel terms ---------------------------------------------------------
+
+
+def _shared_terms_configs(n, antithetic):
+    """hat, check, uniform and a p4 hat on one uniform randomizer, exponential
+    and a tilted hat on one tilted randomizer, all at h = 6: the p4 hat
+    shares its randomizer but not its kernel terms."""
+    common = dict(n_samples=n, replications=11, seed=717, antithetic=antithetic, bandwidth=6.0)
+    cfgs = [base_config(estimator_id=eid, **common) for eid in ("hat", "check", "uniform")]
+    cfgs.append(base_config(estimator_id="exponential", theta=0.05, **common))
+    cfgs.append(base_config(estimator_id="hat", randomizer_kind="truncexp", theta=0.05, **common))
+    cfgs.append(base_config(estimator_id="hat", kernel_family="p4", **common))
+    return cfgs
+
+
+@pytest.mark.parametrize("n, antithetic", [(317, False), (318, True), (10_000, False)])
+def test_shared_kernel_terms_match_lone_replications(monkeypatch, n, antithetic):
+    cfgs = _shared_terms_configs(n, antithetic)
+    plans = [resolve_run(cfg) for cfg in cfgs]
+    assert plans[0].randomizer == plans[5].randomizer != plans[3].randomizer == plans[4].randomizer
+    m = n // 2 if antithetic else n
+    if harness._BLOCK_ELEMENTS // m > 11:
+        monkeypatch.setattr(harness, "_BLOCK_ELEMENTS", 4 * m)
+    want = [[_lone_replication(cfg, 70 + j) for j in range(cfg.replications)] for cfg in cfgs]
+    assert want[0] == want[1] != want[5]
+    for workers in (1, 2):
+        group = CommonRun(cfgs, workers=workers, stream_base=70)
+        for cfg, values in zip(cfgs, want):
+            assert group.result(cfg).estimates.tolist() == values, cfg
+
+
+def test_shared_group_evaluates_each_kernel_once_per_block(monkeypatch):
+    calls = {"__call__": 0, "gradient": 0}
+    for name in calls:
+        def counted(self, u, _original=getattr(Kernel, name), _name=name):
+            calls[_name] += 1
+            return _original(self, u)
+
+        monkeypatch.setattr(Kernel, name, counted)
+    monkeypatch.setattr(harness, "_BLOCK_ELEMENTS", 3 * 200)
+    cfgs = [base_config(estimator_id=eid, n_samples=200, replications=7)
+            for eid in ("hat", "check", "uniform")]
+    group = CommonRun(cfgs, workers=1)
+    for cfg in cfgs:
+        group.result(cfg)
+    assert calls == {"__call__": 3, "gradient": 3}  # blocks of 3, 3 and 1 rows
+
+
+def test_shared_group_keeps_each_members_error():
+    cfgs = [base_config(estimator_id=eid, n_samples=50) for eid in ("hat", "uniform", "check")]
+    plans = [resolve_run(cfg) for cfg in cfgs]
+    plans[1] = replace(plans[1], h=-1.0)
+    # a fourth member whose kernel fails to evaluate has terms of its own
+    def broken(u):
+        raise ZeroDivisionError("broken kernel")
+
+    odd = custom_kernel(broken, broken, order_p=2, check_order=False)
+    cfgs.append(cfgs[0])
+    plans.append(replace(plans[0], kernel=odd))
+    rng = np.random.default_rng(3)
+    spot = PAPER.spot
+    lams = spot - plans[0].randomizer.sample_offsets(rng.random((2, 50)))
+    unit = simulate_terminal(PAPER, rng.standard_normal((2, 50)), spot=1.0)
+    want = []
+    for row in range(2):
+        ss = SampleSet(spot, lams[row], unit[row] * lams[row], cfgs[0].payoff(unit[row] * lams[row]),
+                       randomizer=plans[0].randomizer)
+        ec = EstimatorConfig(kernel=plans[0].kernel, bandwidth=plans[0].h,
+                             randomizer=plans[0].randomizer)
+        want.append(estimate_single_kernel_hat(ss, ec).value)
+    hat, uniform, check, failed = harness._kernel_rows(list(zip(cfgs, plans)), lams, unit)
+    assert hat.tolist() == check.tolist() == want
+    assert isinstance(uniform, DegenerateBandwidth)
+    assert isinstance(failed, ZeroDivisionError)
+
+
+def test_six_estimator_block_memory():
+    # the six estimators of a default compare on one row of N = 2^16 draws;
+    # the peak is the kernel group's payoffs, K'(u), K(u) and the kernel's
+    # support mask, with u taken in place of the offsets
+    n = 2**16
+    cfgs = [base_config(estimator_id=eid, n_samples=n, replications=1)
+            for eid in ("hat", "check", "uniform")]
+    cfgs.append(base_config(estimator_id="exponential", theta=0.01, n_samples=n, replications=1))
+    cfgs += [base_config(estimator_id=eid, bandwidth=1.0, n_samples=n, replications=1)
+             for eid in ("lr", "fd")]
+    members = [(cfg, resolve_run(cfg)) for cfg in cfgs]
+    buffers = harness._worker_buffers(cfgs[0], 1)
+    harness._evaluate_block(members, 0, *buffers)  # warm up imports and caches
+    tracemalloc.start()
+    try:
+        outcomes = harness._evaluate_block(members, 0, *buffers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(np.all(np.isfinite(v)) for v in outcomes)
+    assert peak <= 3.5 * 8 * n
 
 
 # -- stream-id layout ----------------------------------------------------------

@@ -180,9 +180,28 @@ def test_evaluation_matches_polyval_bit_for_bit():
 
     rng = np.random.default_rng(5)
     u = np.concatenate([rng.uniform(-1.3, 1.3, 4000), [1.0, -1.0, 0.0, -0.0, np.nan, np.inf]])
+    # the edges of the support one ulp either way, the smallest subnormals,
+    # and values whose powers overflow or are not finite
+    edges = [np.nextafter(e, e + d) for e in (1.0, -1.0) for d in (1.0, -1.0)]
+    u = np.concatenate([u, edges, [5e-324, -5e-324, -np.inf, 1e308]])
     with np.errstate(invalid="ignore", over="ignore"):
         for k in ALL:
             for coeffs, method in ((k.coeffs, k), (npoly.polyder(k.coeffs), k.gradient)):
                 want = np.where(np.abs(u) <= 1.0, npoly.polyval(u, coeffs), 0.0)
                 for got in (method(u), method(u.reshape(2, -1)).ravel()):
                     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_evaluation_with_zero_or_lone_coefficients_matches_polyval():
+    # a zero leading coefficient (either sign) and a constant polynomial keep
+    # polyval's (u * 0 + c[-1]) start
+    from numpy.polynomial import polynomial as npoly
+
+    from kernelgreeks.kernels import Kernel
+
+    u = np.array([-1.5, -1.0, -0.5, -0.0, 0.0, 5e-324, 0.25, 1.0, np.nan, -np.inf])
+    for coeffs in ([0.75, 0.0, -0.75, 0.0], [0.75, -0.0, -0.75, -0.0, -0.0], [0.5], [-0.0]):
+        k = Kernel(family="test", order_p=2, coeffs=np.array(coeffs))
+        with np.errstate(invalid="ignore"):
+            want = np.where(np.abs(u) <= 1.0, npoly.polyval(u, k.coeffs), 0.0)
+            assert np.array_equal(k(u).view(np.int64), want.view(np.int64))

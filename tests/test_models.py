@@ -18,17 +18,15 @@ from kernelgreeks import (
     closed_form_identity_delta,
     closed_form_vanilla_delta,
     constant_payoff,
-    density_f,
-    density_ratio,
     digital_call,
     identity_payoff,
     law_density,
+    law_density_ratio,
+    law_standardized_d,
     lognormal_params,
-    score,
     score_coefficients,
     simulate_asian,
     simulate_terminal,
-    standardized_d,
     stream,
     vanilla_call,
 )
@@ -159,22 +157,23 @@ def test_asian_refinement_is_second_order():
 def test_density_values():
     law = lognormal_params(PAPER)
     mode = 120.0 * math.exp(law.m)
-    assert density_f(PAPER, mode) == pytest.approx(0.01695839371078631, rel=1e-14)
+    assert law_density(law, 120.0, mode) == pytest.approx(0.01695839371078631, rel=1e-14)
     norm = np.trapezoid(
-        density_f(PAPER, np.linspace(1e-3, 600.0, 200_001)), np.linspace(1e-3, 600.0, 200_001)
+        law_density(law, 120.0, np.linspace(1e-3, 600.0, 200_001)),
+        np.linspace(1e-3, 600.0, 200_001),
     )
     assert norm == pytest.approx(1.0, abs=1e-6)
     with pytest.raises(NonPositiveState):
-        density_f(PAPER, 0.0)
+        law_density(law, 120.0, 0.0)
     with pytest.raises(NonPositiveState):
         law_density(law, -1.0, 100.0)
 
 
 def test_standardized_d_values():
-    assert standardized_d(PAPER, 120.0) == pytest.approx(0.5, abs=1e-13)
-    assert standardized_d(PAPER, 130.0) == pytest.approx(2.501067691838409, rel=1e-14)
     law = lognormal_params(PAPER)
-    assert standardized_d(PAPER, 120.0 * math.exp(law.m)) == pytest.approx(0.0, abs=1e-13)
+    assert law_standardized_d(law, 120.0, 120.0) == pytest.approx(0.5, abs=1e-13)
+    assert law_standardized_d(law, 120.0, 130.0) == pytest.approx(2.501067691838409, rel=1e-14)
+    assert law_standardized_d(law, 120.0, 120.0 * math.exp(law.m)) == pytest.approx(0.0, abs=1e-13)
 
 
 def test_score_coefficient_rows():
@@ -198,11 +197,12 @@ def test_low_order_rows_in_closed_form(Sigma):
 
 
 def test_density_ratio_values():
-    assert density_ratio(PAPER, 130.0, 1) == pytest.approx(0.020842230765320078, rel=1e-14)
     law = lognormal_params(PAPER)
+    assert law_density_ratio(law, 120.0, 130.0, 1) == pytest.approx(0.020842230765320078, rel=1e-14)
     mode = 120.0 * math.exp(law.m)
-    assert density_ratio(PAPER, mode, 2) == pytest.approx(-25.0 / 120.0**2, rel=1e-12)
-    assert score(PAPER, 130.0) == density_ratio(PAPER, 130.0, 1)
+    assert law_density_ratio(law, 120.0, mode, 2) == pytest.approx(-25.0 / 120.0**2, rel=1e-12)
+    # the first ratio is the score d(x, z) / x
+    assert law_standardized_d(law, 120.0, 130.0) / 120.0 == law_density_ratio(law, 120.0, 130.0, 1)
 
 
 def test_recursion_matches_finite_differences():
@@ -210,7 +210,8 @@ def test_recursion_matches_finite_differences():
     z_grid = np.linspace(80.0, 170.0, 20)
     x = 120.0
     delta = 1e-3 * x
-    f = lambda s: density_f(PAPER, z_grid, spot=s)
+    law = lognormal_params(PAPER)
+    f = lambda s: law_density(law, s, z_grid)
     fd = {
         1: (f(x + delta) - f(x - delta)) / (2 * delta),
         2: (f(x + delta) - 2 * f(x) + f(x - delta)) / delta**2,
@@ -218,14 +219,14 @@ def test_recursion_matches_finite_differences():
         / (2 * delta**3),
     }
     for k in (1, 2, 3):
-        exact = density_ratio(PAPER, z_grid, k) * f(x)
+        exact = law_density_ratio(law, x, z_grid, k) * f(x)
         assert np.max(np.abs(fd[k] / exact - 1.0)) < 1e-3
 
 
 def test_score_has_mean_zero():
     n = 1_000_000
     z = simulate_terminal(PAPER, np.random.default_rng(17).standard_normal(n))
-    s = score(PAPER, z)
+    s = law_density_ratio(lognormal_params(PAPER), 120.0, z, 1)
     assert abs(s.mean()) <= 3.0 * s.std(ddof=1) / math.sqrt(n)
 
 
@@ -274,7 +275,8 @@ def test_closed_form_limits():
 def test_closed_form_delta_is_density_integral():
     # digital delta = d/dx P(Z > K) = integral of df/dx over (K, inf)
     z = np.linspace(120.0, 1200.0, 400_001)
-    integrand = density_ratio(PAPER, z, 1) * density_f(PAPER, z)
+    law = lognormal_params(PAPER)
+    integrand = law_density_ratio(law, 120.0, z, 1) * law_density(law, 120.0, z)
     assert np.trapezoid(integrand, z) == pytest.approx(
         closed_form_digital_delta(PAPER, 120.0), rel=1e-6
     )

@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from kernelgreeks import (
-    OffsetSample,
     OutsideSupport,
-    antithetic_of,
     gauss_legendre_integral,
     truncexp_randomizer,
     uniform_randomizer,
@@ -117,13 +115,6 @@ def test_cdf_round_trip():
         assert np.max(np.abs(r.cdf(r.sample_offsets(u)) - u)) < 1e-12
 
 
-def test_sample_offset_packages_shift():
-    r = truncexp_randomizer(0.5, 1.0)
-    s = r.sample_offset(0.5, 120.0)
-    assert isinstance(s, OffsetSample)
-    assert s.lam == 120.0 - s.offset
-
-
 @pytest.mark.parametrize(
     "randomizer",
     [
@@ -140,17 +131,6 @@ def test_sampled_offsets_match_analytic_cdf(randomizer):
     assert ks < 0.01
 
 
-def test_antithetic_example():
-    s = OffsetSample(offset=0.25, lam=119.75)
-    mirror = antithetic_of(s, 120.0)
-    assert mirror == OffsetSample(offset=-0.25, lam=120.25)
-
-
-def test_antithetic_is_involution():
-    s = OffsetSample(offset=-0.4, lam=100.4)
-    assert antithetic_of(antithetic_of(s, 100.0), 100.0) == s
-
-
 @settings(max_examples=100, deadline=None)
 @given(
     st.floats(0.01, 10.0),
@@ -159,12 +139,11 @@ def test_antithetic_is_involution():
     st.floats(-1e4, 1e4),
 )
 def test_draws_stay_inside_support(eps, theta, u, lambda0):
-    r = truncexp_randomizer(eps, theta)
-    s = r.sample_offset(u, lambda0)
-    assert abs(s.offset) <= eps
-    assert s.lam == lambda0 - s.offset
-    pair = antithetic_of(s, lambda0)
-    assert (s.lam + pair.lam) / 2.0 == pytest.approx(lambda0, rel=1e-12, abs=1e-12)
+    # an antithetic pair takes the spots lambda0 - l and lambda0 + l
+    offset = truncexp_randomizer(eps, theta).sample_offsets(u)
+    assert abs(offset) <= eps
+    pair = ((lambda0 - offset) + (lambda0 + offset)) / 2.0
+    assert pair == pytest.approx(lambda0, rel=1e-12, abs=1e-12)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
