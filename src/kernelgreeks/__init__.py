@@ -55,7 +55,6 @@ from .errors import (
     MissingSecondKernel,
     NonPositiveState,
     NonPositiveVariance,
-    OrderMismatch,
     OutsideSupport,
     RandomizerMismatch,
     ScoreUnavailable,
@@ -94,13 +93,10 @@ from .harness import (
 from .kernels import (
     BUILTIN_FAMILIES,
     Kernel,
-    KernelFunctionals,
     builtin_kernel,
-    custom_kernel,
     gauss_legendre_integral,
     kernel_moment,
     kernel_roughness,
-    verify_order,
 )
 from .models import (
     AsianConfig,
@@ -136,13 +132,10 @@ __all__ = [
     "__version__",
     # kernels
     "Kernel",
-    "KernelFunctionals",
     "BUILTIN_FAMILIES",
     "builtin_kernel",
-    "custom_kernel",
     "kernel_moment",
     "kernel_roughness",
-    "verify_order",
     "gauss_legendre_integral",
     # randomization
     "Randomizer",
@@ -216,7 +209,6 @@ __all__ = [
     "STREAM_REFERENCE",
     # errors
     "KernelGreeksError",
-    "OrderMismatch",
     "OutsideSupport",
     "NonPositiveState",
     "DimensionMismatch",

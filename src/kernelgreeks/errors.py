@@ -4,7 +4,6 @@ from __future__ import annotations
 
 __all__ = [
     "KernelGreeksError",
-    "OrderMismatch",
     "OutsideSupport",
     "NonPositiveState",
     "DimensionMismatch",
@@ -20,6 +19,7 @@ __all__ = [
     "InsufficientReplications",
     "NonFiniteEstimate",
     "InvalidConfigFile",
+    "InvalidGrid",
     "DegenerateVarianceWarning",
     "DegenerateBiasWarning",
 ]
@@ -27,10 +27,6 @@ __all__ = [
 
 class KernelGreeksError(Exception):
     """Base class for all package-specific errors."""
-
-
-class OrderMismatch(KernelGreeksError):
-    """Declared kernel order disagrees with the detected one."""
 
 
 class OutsideSupport(KernelGreeksError):
@@ -91,6 +87,10 @@ class NonFiniteEstimate(KernelGreeksError, FloatingPointError):
 
 class InvalidConfigFile(KernelGreeksError, ValueError):
     """A config file cannot be read or holds a malformed entry."""
+
+
+class InvalidGrid(KernelGreeksError, ValueError):
+    """A rate-fit grid has too few points, is not increasing or spans too little."""
 
 
 class DegenerateVarianceWarning(UserWarning):

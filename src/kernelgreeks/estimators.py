@@ -120,7 +120,6 @@ class EstimatorConfig:
     bandwidth: float
     randomizer: Randomizer | None = None
     second_kernel: Kernel | None = None
-    antithetic: bool = False
 
 
 @dataclass(frozen=True)
@@ -343,14 +342,10 @@ def estimate_double_kernel(samples: SampleSet, config: EstimatorConfig) -> Estim
     the score, and the usual localized average is returned. Draws whose
     density estimate falls below 1e-12 * h^-2 are dropped.
 
-    When both kernels are polynomials the window sums come from exact
-    moment range sums in O(N log^2 N); custom kernels use the direct
-    pairwise sweep. The two agree up to roundoff.
+    The window sums come from exact moment range sums in O(N log^2 N);
+    they agree up to roundoff with the direct pairwise sweep.
     """
-    second = config.second_kernel
-    polynomial = config.kernel.coeffs is not None and second is not None and second.coeffs is not None
-    pair_sums = _double_kernel_moments if polynomial else _double_kernel_direct
-    return _double_kernel(samples, config, pair_sums)[0]
+    return _double_kernel(samples, config, _double_kernel_moments)[0]
 
 
 def _double_kernel(samples: SampleSet, config: EstimatorConfig, pair_sums) -> tuple[Estimate, int]:
@@ -419,7 +414,8 @@ def _window_bounds(x: np.ndarray, h: float, radius: float) -> tuple[np.ndarray, 
 
 def _double_kernel_direct(lam, z, h, kernel, second) -> tuple[np.ndarray, np.ndarray]:
     """Sums of K(du) H(dz) and K'(du) H(dz) over each draw's state window,
-    self pair included, by direct evaluation of every pair; z is sorted."""
+    self pair included, by direct evaluation of every pair; z is sorted.
+    The reference that :func:`_double_kernel_moments` is tested against."""
     n = z.size
     lo, hi = _window_bounds(z, h, second.support_radius)
     den = np.empty(n)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bandwidth import BandwidthChoice, PilotEstimates, select_bandwidth
-from .errors import InsufficientReplications, NonPositiveVariance, RandomizerMismatch
+from .errors import InsufficientReplications, InvalidGrid, NonPositiveVariance, RandomizerMismatch
 from .estimators import (
     EstimatorConfig,
     FdConfig,
@@ -91,9 +91,9 @@ _REFERENCE_CHUNK = 200_000
 #: candidate bumps for the reference, as fractions of spot
 _FD_BUMP_FRACTIONS = (0.0025, 0.005, 0.01, 0.02, 0.04, 0.08)
 
-#: array elements (rows x draws) per block of replications: a block of
-#: max(1, _BLOCK_ELEMENTS // N) replications is evaluated in one pass over
-#: (rows, N) arrays, which amortizes the per-call cost of numpy at small N.
+#: array elements (rows x draws) per block of replications: a block of at
+#: most max(1, _BLOCK_ELEMENTS // N) replications is evaluated in one pass
+#: over (rows, N) arrays, which amortizes the per-call cost of numpy at small N.
 #: Of 2^14 .. 2^17, 2^16 was fastest with two threads at N = 1000 .. 10^4
 #: and within noise of the best with one (BENCH_replication_blocks.json).
 _BLOCK_ELEMENTS = 2**16
@@ -214,18 +214,13 @@ class _RunPlan:
     choice: BandwidthChoice | None
 
 
-def _draw_states(cfg: ExperimentConfig, rng: np.random.Generator, n: int):
-    """Draw the noise of n paths once; return the states at a given spot.
-
-    The spot is a scalar or an (n,) array. Both states are linear in the
-    spot. The averaged state is reduced to its (n,) unit-spot averages
-    block by block, so its (n, steps) normals are never held at once.
-    """
+def _pilot_states(cfg: ExperimentConfig, rng: np.random.Generator, n: int) -> np.ndarray:
+    """The states of n paths at the spot. The averaged state is reduced to
+    its (n,) unit-spot averages block by block, so its (n, steps) normals
+    are never held at once."""
     if cfg.asian is None:
-        gauss = rng.standard_normal(n)
-        return lambda spot: simulate_terminal(cfg.model, gauss, spot=spot)
-    unit = asian_unit_averages(cfg.model, cfg.asian, rng, n)
-    return lambda spot: spot * unit
+        return simulate_terminal(cfg.model, rng.standard_normal(n))
+    return cfg.model.spot * asian_unit_averages(cfg.model, cfg.asian, rng, n)
 
 
 def resolve_run(cfg: ExperimentConfig, stream_base: int = 0) -> _RunPlan:
@@ -243,7 +238,7 @@ def resolve_run(cfg: ExperimentConfig, stream_base: int = 0) -> _RunPlan:
     pilot = choice = None
     if cfg.bandwidth == "auto":
         rng = stream(cfg.seed, stream_base + PILOT_OFFSET)
-        states = _draw_states(cfg, rng, PILOT_N)(cfg.model.spot)
+        states = _pilot_states(cfg, rng, PILOT_N)
         mode = "uniform" if kind == "uniform" else "exponential"
         theta_arg = 0.0 if kind == "uniform" else cfg.theta
         pilot, choice = select_bandwidth(
@@ -264,50 +259,6 @@ def resolve_run(cfg: ExperimentConfig, stream_base: int = 0) -> _RunPlan:
     randomizer = Randomizer(kind=kind, epsilon=epsilon, theta=theta)
     second = kernel if cfg.estimator_id == "double" else None
     return _RunPlan(kernel, second, h, theta, randomizer, pilot, choice)
-
-
-def _double_kernel_estimate(
-    cfg: ExperimentConfig, plan: _RunPlan, lams: np.ndarray, states_at
-) -> float:
-    states = states_at(lams)
-    phi = cfg.payoff(states)
-    state_kind = "terminal" if cfg.asian is None else "asian"
-    ss = SampleSet(
-        lambda0=cfg.model.spot,
-        lambdas=lams,
-        states=states,
-        payoffs=phi,
-        randomizer=plan.randomizer,
-        state_kind=state_kind,
-    )
-    ec = EstimatorConfig(
-        kernel=plan.kernel,
-        bandwidth=plan.h,
-        randomizer=plan.randomizer,
-        second_kernel=plan.second_kernel,
-    )
-    return estimate_double_kernel(ss, ec).value
-
-
-def _one_replication(cfg: ExperimentConfig, plan: _RunPlan, stream_id: int) -> float:
-    """Replication ``stream_id`` on its own. The double kernel does not
-    reduce row by row and always runs here; every other estimator runs as
-    a block of one row."""
-    if cfg.estimator_id != "double":
-        (values,) = _evaluate_block([(cfg, plan)], stream_id, *_worker_buffers(cfg, 1))
-        if isinstance(values, Exception):
-            raise values
-        return float(values[0])
-    rng = stream(cfg.seed, stream_id)
-    spot = cfg.model.spot
-    n = _draws_per_row(cfg)
-    offsets = plan.randomizer.sample_offsets(rng.random(n))
-    states_at = _draw_states(cfg, rng, n)
-    value = _double_kernel_estimate(cfg, plan, spot - offsets, states_at)
-    if not cfg.antithetic:
-        return value
-    mirrored = _double_kernel_estimate(cfg, plan, spot + offsets, states_at)
-    return 0.5 * (value + mirrored)
 
 
 def _draws_per_row(cfg: ExperimentConfig) -> int:
@@ -340,13 +291,16 @@ def _evaluate_block(members, first_id: int, gen, draws, unit) -> list:
     noise-only (fd, then lr) first: row j re-keys ``gen`` to stream first_id + j
     and draws the uniforms into ``draws`` (kernel estimators only), then the
     noise, reduced to unit-spot states in ``unit``. That is exactly what a
-    lone replication draws, in the same order. Kernel estimators with equal
-    randomizer and payoff share one pass of offsets, spots, states, payoffs
-    and support check, and per kernel and h the kernel terms
-    (:func:`_kernel_rows`); each further randomizer draws the uniforms again.
-    Each member's rows are then reduced in the same operation order as a
-    lone replication, so the estimates are the same bits. A failed check
-    stops the members it concerns for the whole block.
+    lone replication draws, in the same order. Single-kernel estimators with
+    equal randomizer and payoff share one pass of offsets, spots, states,
+    payoffs and support check, and per kernel and h the kernel terms
+    (:func:`_kernel_rows`). Double-kernel members form groups of their own
+    (:func:`_double_rows`), since their doubled support can equal a
+    single-kernel randomizer. Each further group draws the uniforms again.
+    Antithetic rows average each group's rows with those of the mirrored
+    spots. Each member's rows are then reduced in the same operation order
+    as a lone replication, so the estimates are the same bits. A failed
+    check stops the members it concerns for the whole block.
     """
     cfg = members[0][0]
     spot = cfg.model.spot
@@ -375,8 +329,10 @@ def _evaluate_block(members, first_id: int, gen, draws, unit) -> list:
             continue
         groups = {}
         for i in idx:
-            groups.setdefault((members[i][1].randomizer, members[i][0].payoff), []).append(i)
-        for g, ((randomizer, _), shared) in enumerate(groups.items()):
+            c, p = members[i]
+            groups.setdefault((p.randomizer, c.payoff, c.estimator_id == "double"), []).append(i)
+        for g, ((randomizer, _, double), shared) in enumerate(groups.items()):
+            rows_of = _double_rows if double else _kernel_rows
             if g:
                 # the group before consumed the uniforms: draw them again,
                 # which holds less memory than a copy kept for every group
@@ -389,10 +345,10 @@ def _evaluate_block(members, first_id: int, gen, draws, unit) -> list:
                 mirrored = offsets + spot if cfg.antithetic else None
                 # the spots overwrite the offsets, which no longer serve
                 lams = np.subtract(spot, offsets, out=offsets)
-                values = _kernel_rows([members[i] for i in shared], lams, unit)
+                values = rows_of([members[i] for i in shared], lams, unit)
                 live = [k for k, v in enumerate(values) if not isinstance(v, Exception)]
                 if mirrored is not None and live:
-                    other = _kernel_rows([members[shared[k]] for k in live], mirrored, unit)
+                    other = rows_of([members[shared[k]] for k in live], mirrored, unit)
                     for k, v in zip(live, other):
                         values[k] = v if isinstance(v, Exception) else 0.5 * (values[k] + v)
             for i, v in zip(shared, values):
@@ -454,6 +410,26 @@ def _kernel_rows(members, lams, unit) -> list:
     return outcomes
 
 
+def _double_rows(members, lams, unit) -> list:
+    """Each double-kernel member's estimates of the draws at spots ``lams``,
+    one per row, or the exception that stopped it; the members share
+    randomizer and payoff. The estimator does not reduce row by row, so
+    each row runs through :func:`estimate_double_kernel` on its own."""
+    cfg = members[0][0]
+    kind = "terminal" if cfg.asian is None else "asian"
+    states = np.multiply(lams, unit)
+    payoffs = cfg.payoff(states)
+
+    def rows(plan: _RunPlan) -> np.ndarray:
+        ec = EstimatorConfig(plan.kernel, plan.h, plan.randomizer, plan.second_kernel)
+        return np.array([
+            estimate_double_kernel(SampleSet(cfg.model.spot, *row, plan.randomizer, kind), ec).value
+            for row in zip(lams, states, payoffs)
+        ])
+
+    return [_attempt(rows, plan) for _, plan in members]
+
+
 def _shared_rows(kernel: Kernel, formulas: list, payoffs, offsets, consume: bool) -> list:
     """The rows of each of ``formulas``, which share h and list those with a
     tilt first, from one evaluation of the kernel terms; or the exception
@@ -480,8 +456,7 @@ def _shared_rows(kernel: Kernel, formulas: list, payoffs, offsets, consume: bool
 
 def _terms_key(kernel: Kernel, h: float) -> tuple:
     """What K(u) and K'(u) at u = offsets / h depend on."""
-    coeffs = None if kernel.coeffs is None else kernel.coeffs.tobytes()
-    return kernel.support_radius, coeffs, kernel.func, kernel.grad, h
+    return kernel.support_radius, kernel.coeffs.tobytes(), h
 
 
 def _checked_formula(cfg: ExperimentConfig, plan: _RunPlan, offsets) -> _KernelSum:
@@ -519,24 +494,22 @@ def _replicate(members, ids: range, workers: int) -> list:
     """Replicate ``members`` (cfg, plan) on the streams ``ids``: for each
     member, its (estimates, runtime_ms) arrays or its error.
 
-    The double kernel runs alone, one replication per task. Other members
-    share their draws and run in blocks of max(1, 2^16 // N) replications;
-    each row's ``runtime_ms`` is the block's wall time divided by its rows
-    times the members it evaluated. A member's error names its first
-    failing replication, and later blocks skip the member.
+    The members share their draws and run in blocks of
+    max(1, min(2^16 // N, ceil(R / workers))) replications, so that every
+    worker gets a block; each row's ``runtime_ms`` is the block's wall time
+    divided by its rows times the members it evaluated. A member's error
+    names its first failing replication, and later blocks skip the member.
     """
     cfg = members[0][0]
-    double = cfg.estimator_id == "double"
     r_count = len(ids)
-    rows = 1 if double else max(1, _BLOCK_ELEMENTS // _draws_per_row(cfg))
+    rows = max(1, min(_BLOCK_ELEMENTS // _draws_per_row(cfg), math.ceil(r_count / workers)))
     starts = range(0, r_count, rows)
     w = min(workers, len(starts))
     # one generator and pair of draw buffers per worker, allocated here
     # once; a block borrows a set for as long as it runs
     free = queue.SimpleQueue()
-    if not double:
-        for _ in range(w):
-            free.put(_worker_buffers(cfg, rows))
+    for _ in range(w):
+        free.put(_worker_buffers(cfg, rows))
     estimates = [np.empty(r_count) for _ in members]
     runtimes = [np.empty(r_count) for _ in members]
     # member -> (first failing replication, its error); only ``collect``
@@ -545,9 +518,6 @@ def _replicate(members, ids: range, workers: int) -> list:
     errors = {}
 
     def evaluate(active: list, start: int, count: int) -> list:
-        if double:
-            plan = members[0][1]
-            return [_attempt(lambda: np.array([_one_replication(cfg, plan, ids[start])]))]
         gen, draws, unit = free.get()
         try:
             values = _attempt(
@@ -611,15 +581,14 @@ def _run_common(cfgs: tuple, workers: int | None, stream_base: int) -> list:
     plans = [_attempt(resolve_run, cfg, stream_base) for cfg in cfgs]
     outcomes = list(plans)  # a config whose plan failed keeps that error
     live = [i for i, plan in enumerate(plans) if not isinstance(plan, Exception)]
-    shared = [i for i in live if cfgs[i].estimator_id != "double"]
-    groups = ([shared] if shared else []) + [[i] for i in live if i not in shared]
+    if not live:
+        return outcomes
     w = _default_workers() if workers is None else max(1, workers)
-    for group in groups:
-        done = _replicate([(cfgs[i], plans[i]) for i in group], ids, w)
-        for i, result in zip(group, done):
-            outcomes[i] = result if isinstance(result, Exception) else _run_result(
-                cfgs[i], plans[i], *result
-            )
+    done = _replicate([(cfgs[i], plans[i]) for i in live], ids, w)
+    for i, result in zip(live, done):
+        outcomes[i] = result if isinstance(result, Exception) else _run_result(
+            cfgs[i], plans[i], *result
+        )
     return outcomes
 
 
@@ -646,9 +615,10 @@ class CommonRun:
     each config's estimates are those of a run of its own bit for bit, but
     row j opens its stream once per draw layout (uniforms then noise for
     the kernel estimators, noise alone for lr and fd), builds the unit-spot
-    states once per layout, and kernel estimators with equal randomizer and
-    payoff share their offsets, states and payoffs. Each config still
-    resolves its own plan. The double kernel runs unshared.
+    states once per layout, and single-kernel estimators with equal
+    randomizer and payoff share their offsets, states and payoffs. The
+    double kernel shares the draws and forms a randomizer group of its own.
+    Each config still resolves its own plan.
 
     The configs must agree on model, averaged state, N, R, seed and
     antithetic pairing; otherwise the constructor raises ValueError. The
@@ -688,13 +658,14 @@ def run_replications(
 
     Replication j always consumes stream ``stream_base + j``, and the
     output array is indexed by j, so the result does not depend on the
-    worker count. Except for the double kernel, replications run in blocks
-    of max(1, 2^16 // N) rows, and each row's ``runtime_ms`` is its block's
-    wall time divided by the block's rows. Estimator errors are re-raised
-    with the index of the first failing replication prepended and the
-    original chained. With ``common``, a :class:`CommonRun` that holds cfg,
-    the result is cfg's share of that group's run; the group fixes workers
-    and stream base, so passing either as well raises ValueError.
+    worker count. Replications run in blocks of
+    max(1, min(2^16 // N, ceil(R / workers))) rows, and each row's
+    ``runtime_ms`` is its block's wall time divided by the block's rows.
+    Estimator errors are re-raised with the index of the first failing
+    replication prepended and the original chained. With ``common``, a
+    :class:`CommonRun` that holds cfg, the result is cfg's share of that
+    group's run; the group fixes workers and stream base, so passing either
+    as well raises ValueError.
     """
     if common is None:
         return CommonRun([cfg], workers, stream_base).result(cfg)
@@ -893,11 +864,11 @@ def convergence_rate_fit(
     """
     grid = np.asarray(grid_N, dtype=int)
     if grid.size < 4:
-        raise ValueError("rate fits need at least 4 grid points")
+        raise InvalidGrid("rate fits need at least 4 grid points")
     if np.any(np.diff(grid) <= 0):
-        raise ValueError("grid_N must be strictly increasing")
+        raise InvalidGrid("grid_N must be strictly increasing")
     if grid[-1] < 100 * grid[0]:
-        raise ValueError("grid_N must span at least two decades")
+        raise InvalidGrid("grid_N must span at least two decades")
     reference, source = reference_value(cfg)
     mses, hs = [], []
     for i, n in enumerate(grid):

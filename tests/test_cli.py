@@ -19,7 +19,7 @@ from kernelgreeks import (
     run_replications,
     summarize,
 )
-from kernelgreeks import cli
+from kernelgreeks import cli, harness
 from kernelgreeks.cli import main
 from kernelgreeks.export import (
     KDE_COLUMNS,
@@ -275,6 +275,23 @@ def test_sweep_writes_rate_csv(tmp_path, capsys):
     assert all(row[1] == "" for row in body)  # lr has no bandwidth
     sidecar = json.loads((tmp_path / "rate.config.json").read_text())
     assert sidecar["n"] == "100,1000,10000,100000"
+
+
+@pytest.mark.parametrize("grid", ["100,1000,10000", "100,200,400,800"])
+def test_sweep_rejects_a_short_grid_before_any_work(tmp_path, capsys, monkeypatch, grid):
+    def no_work(*args, **kwargs):
+        raise AssertionError("sweep started work before checking its grid")
+
+    monkeypatch.setattr(harness, "resolve_run", no_work)
+    monkeypatch.setattr(harness, "reference_value", no_work)
+    code = run_cli("sweep", "--estimator", "uniform", "--n", grid, "--reps", "30", "--seed", "2",
+                   "--out", str(tmp_path / "s.csv"))
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(("error: rate fits", "error: grid_N"))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_compare_writes_summary_and_kde(tmp_path, capsys):

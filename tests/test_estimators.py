@@ -25,7 +25,6 @@ from kernelgreeks import (
     ScoreUnavailable,
     builtin_kernel,
     closed_form_digital_delta,
-    custom_kernel,
     digital_call,
     estimate_double_kernel,
     estimate_exponential_opt,
@@ -49,8 +48,6 @@ from kernelgreeks.estimators import (
 )
 
 K2 = builtin_kernel("p2")
-#: the order-2 polynomial as callables, which takes the direct pairwise route
-K2_CALLABLE = custom_kernel(lambda u: 0.75 * (1.0 - u * u), lambda u: -1.5 * u, order_p=2)
 PAPER = GbmParams(spot=120.0, rate=0.0, vol=0.2, maturity=1.0)
 
 
@@ -389,26 +386,16 @@ def test_double_kernel_drops_non_finite_draws():
     assert dropped_moments == dropped_direct >= 2
 
 
-def test_double_kernel_custom_p2_takes_the_direct_route():
-    rng = np.random.default_rng(22)
-    s = make_samples(rng, 2000, payoff=vanilla_call(118.0))
-    built_in = EstimatorConfig(kernel=K2, bandwidth=3.0, second_kernel=K2)
-    wrapped = EstimatorConfig(kernel=K2_CALLABLE, bandwidth=3.0, second_kernel=K2_CALLABLE)
-    assert estimate_double_kernel(s, wrapped).value == pytest.approx(
-        estimate_double_kernel(s, built_in).value, rel=1e-12
-    )
-
-
 def test_double_kernel_direct_sweep_memory_is_bounded():
     # the window holds about an eighth of the draws, so a fixed row count
     # per chunk would make the temporaries grow linearly in N
-    cfg = EstimatorConfig(kernel=K2_CALLABLE, bandwidth=3.0, second_kernel=K2_CALLABLE)
+    cfg = EstimatorConfig(kernel=K2, bandwidth=3.0, second_kernel=K2)
     rng = np.random.default_rng(23)
     for n in (4000, 16000):
         s = make_samples(rng, n)
         tracemalloc.start()
         try:
-            estimate_double_kernel(s, cfg)
+            _double_kernel(s, cfg, _double_kernel_direct)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

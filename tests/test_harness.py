@@ -32,12 +32,12 @@ from kernelgreeks import (
     asian_fd_reference,
     builtin_kernel,
     closed_form_digital_delta,
-    custom_kernel,
     closed_form_identity_delta,
     closed_form_vanilla_delta,
     constant_payoff,
     convergence_rate_fit,
     digital_call,
+    estimate_double_kernel,
     estimate_exponential_opt,
     estimate_finite_difference,
     estimate_oracle_score,
@@ -62,7 +62,7 @@ from kernelgreeks import (
 )
 from kernelgreeks import harness, models
 from kernelgreeks.errors import DegenerateBump
-from kernelgreeks.harness import PILOT_N, CommonRun, _one_replication
+from kernelgreeks.harness import PILOT_N, CommonRun
 from kernelgreeks.models import asian_unit_averages
 from kernelgreeks.rng import PILOT_OFFSET, rekey, replication_ids, sweep_base
 
@@ -274,12 +274,11 @@ class _TwoPartError(Exception):
     [_TwoPartError("boom", "step 3"), UnicodeDecodeError("utf-8", b"\xff", 0, 1, "bad byte")],
 )
 def test_replication_errors_need_not_take_one_message(monkeypatch, error):
-    # neither type can be rebuilt from a message alone; the double kernel
-    # runs each replication through _one_replication
-    def fail(cfg, plan, stream_id):
+    # neither type can be rebuilt from a message alone
+    def fail(samples, config):
         raise error
 
-    monkeypatch.setattr(harness, "_one_replication", fail)
+    monkeypatch.setattr(harness, "estimate_double_kernel", fail)
     with pytest.raises(RuntimeError, match="replication 0") as info:
         run_replications(base_config(estimator_id="double", replications=2), workers=1)
     assert info.value.__cause__ is error
@@ -672,7 +671,8 @@ def test_streamed_asian_replication_matches_one_full_draw(estimator_id, antithet
         want = estimate(120.0 - offsets)
         if antithetic:
             want = 0.5 * (want + estimate(120.0 + offsets))
-    assert _one_replication(cfg, plan, 3) == want
+    (got,) = harness._evaluate_block([(cfg, plan)], 3, *harness._worker_buffers(cfg, 1))
+    assert got.tolist() == [want]
 
 
 def test_asian_lr_has_no_score():
@@ -689,7 +689,7 @@ def test_asian_replication_memory_is_bounded(steps):
     plan = resolve_run(cfg)
     tracemalloc.start()
     try:
-        _one_replication(cfg, plan, 0)
+        harness._evaluate_block([(cfg, plan)], 0, *harness._worker_buffers(cfg, 1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -733,7 +733,10 @@ def _lone_replication(cfg, stream_id):
             return estimate_uniform_opt(ss, plan.kernel, plan.h).value
         if eid == "exponential":
             return estimate_exponential_opt(ss, plan.kernel, plan.h, plan.theta).value
-        ec = EstimatorConfig(kernel=plan.kernel, bandwidth=plan.h, randomizer=plan.randomizer)
+        ec = EstimatorConfig(kernel=plan.kernel, bandwidth=plan.h, randomizer=plan.randomizer,
+                             second_kernel=plan.second_kernel)
+        if eid == "double":
+            return estimate_double_kernel(ss, ec).value
         single = estimate_single_kernel_hat if eid == "hat" else estimate_single_kernel_check
         return single(ss, ec).value
 
@@ -748,11 +751,13 @@ _BLOCK_CASES = [
     for asian in (False, True)
     for eid, antithetic in [
         ("uniform", False), ("uniform", True), ("exponential", False), ("exponential", True),
-        ("hat", False), ("hat", True), ("check", False), ("check", True), ("lr", False),
-        ("fd", False),
+        ("hat", False), ("hat", True), ("check", False), ("check", True), ("double", False),
+        ("double", True), ("lr", False), ("fd", False),
     ]
     for n in (2, 3, 100, 317, 10_000)
     if not (asian and eid == "lr") and not (antithetic and n % 2)
+    # leave-one-out needs two draws per replication
+    and not (eid == "double" and antithetic and n < 4)
 ]
 
 
@@ -868,6 +873,22 @@ def test_block_memory_is_bounded_by_the_block_budget(replications):
     assert peak < 2 * 7 * harness._BLOCK_ELEMENTS * 8
 
 
+def test_each_worker_gets_a_block(monkeypatch):
+    # at R = 2 and N = 1e4 the element budget alone would put both
+    # replications into one block on one worker
+    blocks = []
+    evaluate = harness._evaluate_block
+
+    def recorded(members, first_id, gen, draws, unit):
+        blocks.append((first_id, unit.shape[0]))
+        return evaluate(members, first_id, gen, draws, unit)
+
+    monkeypatch.setattr(harness, "_evaluate_block", recorded)
+    cfg = base_config(estimator_id="double", bandwidth=6.0, n_samples=10_000, replications=2)
+    run_replications(cfg, workers=2)
+    assert sorted(blocks) == [(0, 1), (1, 1)]
+
+
 def test_block_runtime_is_shared_by_its_rows(monkeypatch):
     monkeypatch.setattr(harness, "_BLOCK_ELEMENTS", 3 * 200)
     res = run_replications(base_config(n_samples=200, replications=7), workers=1)
@@ -880,7 +901,9 @@ def test_block_runtime_is_shared_by_its_rows(monkeypatch):
 
 def _common_configs(n, asian, antithetic):
     """Every estimator on one set of draws: hat, check and uniform share a
-    randomizer, a tilted hat and exponential have one each."""
+    randomizer, a tilted hat and exponential have one each, and the double
+    kernel at h = 6 has the randomizer of a hat at h = 12 but a group of its
+    own."""
     common = dict(n_samples=n, replications=11, seed=616, antithetic=antithetic,
                   asian=AsianConfig(steps=3) if asian else None)
     cfgs = [base_config(estimator_id=eid, bandwidth=6.0, **common)
@@ -895,8 +918,10 @@ def _common_configs(n, asian, antithetic):
         if not asian:
             cfgs.append(base_config(estimator_id="lr", payoff=vanilla_call(110.0),
                                     bandwidth=1.0, **common))
-        if n < 1000:
-            cfgs.insert(2, base_config(estimator_id="double", bandwidth=6.0, **common))
+    # leave-one-out needs two draws per replication
+    if n < 1000 and not (antithetic and n < 4):
+        cfgs.insert(2, base_config(estimator_id="double", bandwidth=6.0, **common))
+        cfgs.append(base_config(estimator_id="hat", bandwidth=12.0, **common))
     return cfgs
 
 
@@ -1014,10 +1039,11 @@ def test_shared_group_keeps_each_members_error():
     plans = [resolve_run(cfg) for cfg in cfgs]
     plans[1] = replace(plans[1], h=-1.0)
     # a fourth member whose kernel fails to evaluate has terms of its own
-    def broken(u):
-        raise ZeroDivisionError("broken kernel")
+    class Broken(Kernel):
+        def gradient(self, u):
+            raise ZeroDivisionError("broken kernel")
 
-    odd = custom_kernel(broken, broken, order_p=2, check_order=False)
+    odd = Broken(family="broken", order_p=2, coeffs=np.array([1.0]))
     cfgs.append(cfgs[0])
     plans.append(replace(plans[0], kernel=odd))
     rng = np.random.default_rng(3)

@@ -1,4 +1,4 @@
-"""Kernel evaluation, functionals, and order verification."""
+"""Kernel evaluation and functionals."""
 
 import numpy as np
 import pytest
@@ -6,13 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kernelgreeks import (
-    OrderMismatch,
+    Kernel,
     builtin_kernel,
-    custom_kernel,
     gauss_legendre_integral,
     kernel_moment,
     kernel_roughness,
-    verify_order,
 )
 
 K2 = builtin_kernel("p2")
@@ -96,45 +94,18 @@ def test_exact_functionals_agree_with_quadrature():
         assert k.roughness() == pytest.approx(quad_rough, abs=1e-10)
 
 
-def test_verify_order():
-    assert verify_order(K2) == 2
-    assert verify_order(K4) == 4
-    assert verify_order(K6) == 6
-
-
-def test_verify_order_rejects_wrong_declaration():
-    bad = custom_kernel(
-        func=lambda u: 0.75 * (1.0 - u * u),
-        grad=lambda u: -1.5 * u,
-        order_p=4,
-        check_order=False,
-    )
-    with pytest.raises(OrderMismatch):
-        verify_order(bad)
-
-
-def test_custom_kernel_wraps_callable():
-    k = custom_kernel(
-        func=lambda u: 0.75 * (1.0 - u * u),
-        grad=lambda u: -1.5 * u,
-        order_p=2,
-    )
-    assert k.moment(2) == pytest.approx(0.2, abs=1e-10)
-    assert k.roughness() == pytest.approx(1.5, abs=1e-10)
-    assert k(2.0) == 0.0
-
-
-def test_custom_kernel_wider_support():
+def test_polynomial_kernel_wider_support():
     # K(u/2)/2 keeps unit mass on [-2, 2] and stays order 2
-    k = custom_kernel(
-        func=lambda u: 0.375 * (1.0 - 0.25 * u * u),
-        grad=lambda u: -0.1875 * u,
-        order_p=2,
-        support_radius=2.0,
-    )
-    assert k.moment(0) == pytest.approx(1.0, abs=1e-10)
-    assert verify_order(k) == 2
-    assert k.moment(2) == pytest.approx(0.8, abs=1e-10)
+    k = Kernel(family="wide", order_p=2, coeffs=np.array([0.375, 0.0, -0.09375]),
+               support_radius=2.0)
+    assert k.moment(0) == pytest.approx(1.0, abs=1e-15)
+    assert k.moment(1) == 0.0
+    assert k.moment(2) == pytest.approx(0.8, abs=1e-15)
+    assert k.roughness() == pytest.approx(0.1875, abs=1e-15)
+    quad = gauss_legendre_integral(lambda u: u * u * k(u), -2.0, 2.0)
+    assert k.moment(2) == pytest.approx(quad, abs=1e-12)
+    assert k(1.5) == pytest.approx(0.375 * (1.0 - 0.25 * 2.25), abs=1e-15)
+    assert k(2.5) == k.gradient(-2.5) == 0.0
 
 
 def test_gauss_legendre_on_polynomial():
@@ -145,11 +116,6 @@ def test_gauss_legendre_on_polynomial():
 def test_moment_helpers_match_methods():
     assert kernel_moment(K2, 2) == K2.moment(2)
     assert kernel_roughness(K4) == K4.roughness()
-
-
-def test_functionals_bundle():
-    f = K2.functionals()
-    assert (f.order_p, f.moment_p, f.roughness, f.mass) == (2, 0.2, 1.5, 1.0)
 
 
 @settings(max_examples=50, deadline=None)
@@ -196,8 +162,6 @@ def test_evaluation_with_zero_or_lone_coefficients_matches_polyval():
     # a zero leading coefficient (either sign) and a constant polynomial keep
     # polyval's (u * 0 + c[-1]) start
     from numpy.polynomial import polynomial as npoly
-
-    from kernelgreeks.kernels import Kernel
 
     u = np.array([-1.5, -1.0, -0.5, -0.0, 0.0, 5e-324, 0.25, 1.0, np.nan, -np.inf])
     for coeffs in ([0.75, 0.0, -0.75, 0.0], [0.75, -0.0, -0.75, -0.0, -0.0], [0.5], [-0.0]):
