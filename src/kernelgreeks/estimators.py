@@ -197,9 +197,11 @@ class _KernelSum:
 
     or, with ``tilt`` None, 2 eps * sum(phi * K'(u)) / (N * h * h). hat and
     check take the tilt (h, grad log ell), exponential (theta h,) and uniform
-    none. Every row is reduced in the same operation order as a single (N,)
-    sample set, so a (B, N) block gives the same bits as B separate calls,
-    and equal formulas give equal bits on the same terms.
+    none. :meth:`sum` adds up the terms of some draws of each row and
+    :meth:`finish` scales a row's sum by its N, so a row may be summed in
+    pieces. Every row is reduced in the same operation order as a single
+    (N,) sample set, so a (B, N) block gives the same bits as B separate
+    calls, and equal formulas give equal bits on the same terms.
     """
 
     h: float
@@ -207,22 +209,27 @@ class _KernelSum:
     ell0: float = 1.0
     eps: float = 0.0
 
-    def rows(self, payoffs, grad, value, out=None) -> np.ndarray:
-        """The rows from K'(u) in ``grad`` and K(u) in ``value`` (unused
-        without a tilt). ``out`` may be the one of them that the formula
-        reads last, K(u) with a tilt and K'(u) without, which it then
-        overwrites; otherwise both are left as they are."""
-        n = payoffs.shape[-1]
+    def sum(self, payoffs, grad, value, out=None) -> np.ndarray:
+        """The sums over the last axis of the terms from K'(u) in ``grad``
+        and K(u) in ``value`` (unused without a tilt). ``out`` may be the
+        one of them that the formula reads last, K(u) with a tilt and K'(u)
+        without, which it then overwrites; otherwise both are left as they
+        are."""
         if self.tilt is None:
-            terms = np.multiply(grad, payoffs, out=out)
-            return 2.0 * self.eps * np.sum(terms, axis=-1) / (n * self.h * self.h)
+            return np.sum(np.multiply(grad, payoffs, out=out), axis=-1)
         first, *rest = self.tilt
         terms = np.multiply(value, first, out=out)
         for factor in rest:
             terms *= factor
         terms += grad
         terms *= payoffs
-        return np.sum(terms, axis=-1) / (self.ell0 * n * self.h * self.h)
+        return np.sum(terms, axis=-1)
+
+    def finish(self, total, n: int):
+        """The rows from the sums ``total`` of rows of n draws."""
+        if self.tilt is None:
+            return 2.0 * self.eps * total / (n * self.h * self.h)
+        return total / (self.ell0 * n * self.h * self.h)
 
 
 def _kernel_terms(kernel: Kernel, h: float, offsets, values: bool, out=None) -> tuple:
@@ -237,7 +244,8 @@ def _kernel_sum_rows(kernel: Kernel, formula: _KernelSum, payoffs, offsets) -> n
     """``formula`` on its own kernel terms; it overwrites ``offsets`` and the
     terms."""
     grad, value = _kernel_terms(kernel, formula.h, offsets, formula.tilt is not None, offsets)
-    return formula.rows(payoffs, grad, value, out=grad if value is None else value)
+    total = formula.sum(payoffs, grad, value, out=grad if value is None else value)
+    return formula.finish(total, payoffs.shape[-1])
 
 
 # The *_sum functions below run an estimator's checks and return its
@@ -561,9 +569,9 @@ def estimate_oracle_score(
     """
     _require_draws(samples)
     if not localized:
-        value = _likelihood_ratio_rows(
+        value = _likelihood_ratio_sum(
             model, samples.state_kind, samples.lambda0, samples.states, samples.payoffs
-        )
+        ) / samples.n
         return Estimate(float(_finite(value, "lr")), samples.n, "lr")
     _require_score(samples.state_kind)
     law = lognormal_params(model)
@@ -584,13 +592,14 @@ def _require_score(state_kind: str) -> None:
         raise ScoreUnavailable("no closed-form score for the averaged state")
 
 
-def _likelihood_ratio_rows(model: GbmParams, state_kind: str, lambda0: float, states, payoffs):
-    """The likelihood-ratio averages (1/N) sum phi(Z_i) s(lambda0, Z_i) over
-    the last axis of draws made at the fixed spot lambda0."""
+def _likelihood_ratio_sum(model: GbmParams, state_kind: str, lambda0: float, states, payoffs):
+    """The sums of phi(Z_i) s(lambda0, Z_i) over the last axis of draws made
+    at the fixed spot lambda0; a row's likelihood-ratio average is its sum
+    divided by its N."""
     _require_score(state_kind)
     law = lognormal_params(model)
     svals = law_standardized_d(law, lambda0, states) / lambda0
-    return np.mean(payoffs * svals, axis=-1)
+    return np.sum(payoffs * svals, axis=-1)
 
 
 def estimate_finite_difference(
@@ -616,16 +625,17 @@ def estimate_finite_difference(
         base = simulate_terminal(model, gauss, spot=1.0)
     else:
         base = np.atleast_1d(simulate_asian(model, asian, gauss, spot=1.0))
-    value = _finite_difference_rows(model, payoff, fd, base)
+    value = _finite_difference_sum(model, payoff, fd, base) / base.size / fd.bump
     return Estimate(float(_finite(value, "fd")), base.size, "fd")
 
 
-def _finite_difference_rows(model: GbmParams, payoff: Payoff, fd: FdConfig, base):
-    """Bump-and-reprice from the unit-spot states ``base``, draws along the
-    last axis: states are linear in the spot, so both bumped spots scale
-    the same ``base``."""
+def _finite_difference_sum(model: GbmParams, payoff: Payoff, fd: FdConfig, base):
+    """The sums of the repriced differences over the last axis of the
+    unit-spot states ``base``: states are linear in the spot, so both bumped
+    spots scale the same ``base``. A row's estimate is its sum divided by
+    its N and then by the bump."""
     up = model.spot + fd.alpha * fd.bump
     down = model.spot - (1.0 - fd.alpha) * fd.bump
     if down <= 0.0:
         raise DegenerateBump(f"downward bump crosses zero spot: {down}")
-    return np.mean(payoff(up * base) - payoff(down * base), axis=-1) / fd.bump
+    return np.sum(payoff(up * base) - payoff(down * base), axis=-1)

@@ -30,10 +30,10 @@ from .estimators import (
 from .estimators import (
     _exponential_sum,
     _finite,
-    _finite_difference_rows,
+    _finite_difference_sum,
     _kernel_terms,
     _KernelSum,
-    _likelihood_ratio_rows,
+    _likelihood_ratio_sum,
     _require_support,
     _single_kernel_sum,
     _uniform_sum,
@@ -51,7 +51,7 @@ from .models import (
 )
 from .models import _pipelined_unit_averages
 from .randomizers import Randomizer
-from .rng import PILOT_OFFSET, STREAM_REFERENCE, rekey, replication_ids, stream, sweep_base
+from .rng import PILOT_OFFSET, STREAM_REFERENCE, rekey, replication_ids, skip, stream, sweep_base
 
 __all__ = [
     "ExperimentConfig",
@@ -96,7 +96,14 @@ _FD_BUMP_FRACTIONS = (0.0025, 0.005, 0.01, 0.02, 0.04, 0.08)
 #: over (rows, N) arrays, which amortizes the per-call cost of numpy at small N.
 #: Of 2^14 .. 2^17, 2^16 was fastest with two threads at N = 1000 .. 10^4
 #: and within noise of the best with one (BENCH_replication_blocks.json).
+#: A row of more draws is evaluated in leaves of at most this many
+#: (:func:`_tree_leaves`), so its arrays stay cache-sized and memory does not
+#: grow with N.
 _BLOCK_ELEMENTS = 2**16
+
+#: numpy adds a run of at most 128 float64s with eight accumulators and
+#: splits a longer one in two (its pairwise summation), so no leaf is smaller
+_PAIRWISE_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -274,105 +281,220 @@ def _attempt(fn, *args):
         return exc
 
 
+def _leaf_limit() -> int:
+    """The most draws of a row that one leaf holds."""
+    return max(_BLOCK_ELEMENTS, _PAIRWISE_BLOCK)
+
+
+def _tree_leaves(n: int, limit: int, start: int = 0) -> list:
+    """The (start, size) of each leaf of numpy's pairwise-summation tree of n
+    float64s, in order: a node of more than ``limit`` (at least 128) elements
+    splits at half its size rounded down to a multiple of 8, as numpy
+    splits it; the other nodes are leaves."""
+    if n <= limit:
+        return [(start, n)]
+    half = n // 2 - n // 2 % 8
+    return _tree_leaves(half, limit, start) + _tree_leaves(n - half, limit, start + half)
+
+
+def _tree_add(n: int, limit: int, sums):
+    """The sums of the leaves of :func:`_tree_leaves` (n, limit), taken from
+    the iterator ``sums`` in leaf order, added up the same tree: np.sum
+    over all n elements bit for bit, since each leaf's sum is numpy's sum
+    of that node."""
+    if n <= limit:
+        return next(sums)
+    half = n // 2 - n // 2 % 8
+    return _tree_add(half, limit, sums) + _tree_add(n - half, limit, sums)
+
+
 def _worker_buffers(cfg: ExperimentConfig, rows: int) -> tuple:
-    """One worker's generator and two (rows, n) buffers for a block's
-    uniforms and unit-spot states. The generator is re-keyed before every
-    draw."""
-    shape = (rows, _draws_per_row(cfg))
-    return stream(cfg.seed, 0), np.empty(shape), np.empty(shape)
+    """One worker's two generators, its (2, rows, leaf) buffer for a leaf's
+    uniforms and offsets and its (rows, leaf) buffer for unit-spot states,
+    where a leaf is a whole row if the row fits a block. The generators
+    are re-keyed before every row."""
+    width = max(size for _, size in _tree_leaves(_draws_per_row(cfg), _leaf_limit()))
+    gens = stream(cfg.seed, 0), stream(cfg.seed, 0)
+    return gens, np.empty((2, rows, width)), np.empty((rows, width))
 
 
-def _evaluate_block(members, first_id: int, gen, draws, unit) -> list:
+def _evaluate_block(members, first_id: int, gens, draws, unit) -> list:
     """The estimates of replications first_id .. first_id + rows - 1 for each
     member (cfg, plan): a (rows,) array, or the exception that stopped it.
 
     The members agree on model, state, N, seed and antithetic pairing, so
     they share their draws. The block is evaluated once per draw layout,
-    noise-only (fd, then lr) first: row j re-keys ``gen`` to stream first_id + j
-    and draws the uniforms into ``draws`` (kernel estimators only), then the
-    noise, reduced to unit-spot states in ``unit``. That is exactly what a
-    lone replication draws, in the same order. Single-kernel estimators with
-    equal randomizer and payoff share one pass of offsets, spots, states,
-    payoffs and support check, and per kernel and h the kernel terms
-    (:func:`_kernel_rows`). Double-kernel members form groups of their own
+    noise-only (fd, then lr) first. A block of more than one row, or of one
+    row of at most ``_BLOCK_ELEMENTS`` draws, is one leaf: row j re-keys
+    ``gens[0]`` to stream first_id + j and draws the uniforms into
+    ``draws[0]`` (kernel estimators only), then the noise, reduced to
+    unit-spot states in ``unit``. That is exactly what a lone replication
+    draws, in the same order. A longer row is walked in the leaves of
+    :func:`_tree_leaves`: its uniforms come from ``gens[0]`` at the start of
+    the stream and its noise from ``gens[1]``, which :func:`skip` places
+    after the row's uniforms, both carrying on from leaf to leaf.
+
+    Per leaf, single-kernel estimators with equal randomizer and payoff
+    share one pass of offsets, spots, states, payoffs and support check, and
+    per kernel and h the kernel terms (:func:`_kernel_rows`); each group
+    takes its offsets from the kept uniforms into ``draws[1]``, and a lone
+    group in their place. Each member
+    keeps its leaf sums, direct and mirrored apart under antithetic pairing;
+    they are added up numpy's summation tree and finished with the row's N
+    in the same operation order as a lone replication, so the estimates are
+    the same bits. Double-kernel members form groups of their own
     (:func:`_double_rows`), since their doubled support can equal a
-    single-kernel randomizer. Each further group draws the uniforms again.
-    Antithetic rows average each group's rows with those of the mirrored
-    spots. Each member's rows are then reduced in the same operation order
-    as a lone replication, so the estimates are the same bits. A failed
+    single-kernel randomizer, and run once their rows are whole. A failed
     check stops the members it concerns for the whole block.
     """
     cfg = members[0][0]
-    spot = cfg.model.spot
+    spot, m, rows = cfg.model.spot, _draws_per_row(cfg), unit.shape[0]
+    leaves = _tree_leaves(m, _leaf_limit())
     outcomes = [None] * len(members)
+    # member -> the function that finishes its sums, and its sums per leaf:
+    # a list of one array, or of two under antithetic pairing
+    finishes = [None] * len(members)
+    sums = [[] for _ in members]
+
+    def keep(i: int, value) -> None:
+        """Record member i's error, or its (finish, sum) of each pairing side."""
+        if isinstance(value, Exception):
+            outcomes[i] = value
+        else:
+            finishes[i] = value[0][0]
+            sums[i].append([total for _, total in value])
+
     for uniforms in (False, True):
         idx = [i for i, (_, p) in enumerate(members) if (p.randomizer is not None) == uniforms]
-        if not idx:
-            continue
-        for j in range(unit.shape[0]):
-            rng = rekey(gen, cfg.seed, first_id + j)
-            if uniforms:
-                rng.random(out=draws[j])
-            if cfg.asian is None:
-                rng.standard_normal(out=unit[j])
-            else:
-                asian_unit_averages(cfg.model, cfg.asian, rng, unit.shape[1], out=unit[j])
-        if cfg.asian is None:
-            # states are linear in the spot; these are the states at spot 1
-            simulate_terminal(cfg.model, unit, spot=1.0, out=unit)
-        if not uniforms:
-            # fd only reads the states, so lr goes last and its last member
-            # may scale them in place
-            idx.sort(key=lambda i: members[i][0].estimator_id == "lr")
-            for k, i in enumerate(idx):
-                outcomes[i] = _attempt(_noise_rows, members[i][0], unit, k == len(idx) - 1)
-            continue
+        # fd only reads the states, so lr goes last and its last member may
+        # scale them in place
+        idx.sort(key=lambda i: members[i][0].estimator_id == "lr")
         groups = {}
         for i in idx:
             c, p = members[i]
             groups.setdefault((p.randomizer, c.payoff, c.estimator_id == "double"), []).append(i)
-        for g, ((randomizer, _, double), shared) in enumerate(groups.items()):
-            rows_of = _double_rows if double else _kernel_rows
-            if g:
-                # the group before consumed the uniforms: draw them again,
-                # which holds less memory than a copy kept for every group
-                for j in range(unit.shape[0]):
-                    rekey(gen, cfg.seed, first_id + j).random(out=draws[j])
-            offsets = _attempt(randomizer.sample_offsets, draws, draws)
-            if isinstance(offsets, Exception):
-                values = [offsets] * len(shared)
-            else:
+        whole = {}  # group -> the rows of a double-kernel group, gathered leaf by leaf
+        for k, (start, size) in enumerate(leaves):
+            if all(outcomes[i] is not None for i in idx):
+                break
+            u, scratch, z = draws[0, :, :size], draws[1, :, :size], unit[:, :size]
+            for j in range(rows):
+                if k == 0:
+                    # a block of several leaves has one row, whose generators
+                    # carry on from leaf to leaf
+                    rng = noise = rekey(gens[0], cfg.seed, first_id + j)
+                    if uniforms and len(leaves) > 1:
+                        noise = skip(rekey(gens[1], cfg.seed, first_id + j), m)
+                if uniforms:
+                    rng.random(out=u[j])
+                if cfg.asian is None:
+                    noise.standard_normal(out=z[j])
+                else:
+                    asian_unit_averages(cfg.model, cfg.asian, noise, size, out=z[j])
+            if cfg.asian is None:
+                # states are linear in the spot; these are the states at spot 1
+                simulate_terminal(cfg.model, z, spot=1.0, out=z)
+            if not uniforms:
+                live = [i for i in idx if outcomes[i] is None]
+                for pos, i in enumerate(live):
+                    c = members[i][0]
+                    total = _attempt(_noise_sum, c, z, pos == len(live) - 1)
+                    keep(i, total if isinstance(total, Exception) else [(_noise_finish(c), total)])
+                continue
+            for key, shared in groups.items():
+                randomizer, _, double = key
+                live = [i for i in shared if outcomes[i] is None]
+                if not live:
+                    continue
+                # a lone group may take the uniforms' place, and the scratch
+                # buffer then stays untouched, which keeps its pages unmapped
+                out = u if len(groups) == 1 else scratch
+                offsets = _attempt(randomizer.sample_offsets, u, out)
+                if isinstance(offsets, Exception):
+                    for i in live:
+                        outcomes[i] = offsets
+                    continue
                 mirrored = offsets + spot if cfg.antithetic else None
                 # the spots overwrite the offsets, which no longer serve
                 lams = np.subtract(spot, offsets, out=offsets)
-                values = rows_of([members[i] for i in shared], lams, unit)
-                live = [k for k, v in enumerate(values) if not isinstance(v, Exception)]
-                if mirrored is not None and live:
-                    other = rows_of([members[shared[k]] for k in live], mirrored, unit)
-                    for k, v in zip(live, other):
-                        values[k] = v if isinstance(v, Exception) else 0.5 * (values[k] + v)
-            for i, v in zip(shared, values):
-                outcomes[i] = v
+                if not double:
+                    values = _paired(_kernel_rows, [members[i] for i in live], lams, mirrored, z)
+                    for i, v in zip(live, values):
+                        keep(i, v)
+                    continue
+                states = z
+                if len(leaves) > 1:
+                    if key not in whole:
+                        whole[key] = [None if a is None else np.empty((1, m))
+                                      for a in (lams, z, mirrored)]
+                    held = whole[key]
+                    for full, part in zip(held, (lams, z, mirrored)):
+                        if full is not None:
+                            full[:, start : start + size] = part
+                    if k < len(leaves) - 1:
+                        continue
+                    lams, states, mirrored = held
+                values = _paired(_double_rows, [members[i] for i in live], lams, mirrored, states)
+                for i, v in zip(live, values):
+                    outcomes[i] = v if isinstance(v, Exception) else _averaged(v)
+    limit = _leaf_limit()
+    for i, (c, _) in enumerate(members):
+        if outcomes[i] is None:
+            totals = [_tree_add(m, limit, iter(side)) for side in zip(*sums[i])]
+            outcomes[i] = _attempt(_finished, c.estimator_id, finishes[i], totals, m)
     return outcomes
 
 
-def _noise_rows(cfg: ExperimentConfig, unit, consume: bool) -> np.ndarray:
-    """The lr or fd estimates of the unit-spot states ``unit``, one per row;
+def _finished(eid: str, finish, totals: list, n: int):
+    """The estimates of rows of n draws from their sums ``totals``, one
+    array, or a direct and a mirrored one under antithetic pairing."""
+    return _averaged([_finite(finish(total, n), eid) for total in totals])
+
+
+def _averaged(values: list):
+    """A lone value, or the mean of a direct and a mirrored one."""
+    return values[0] if len(values) == 1 else 0.5 * (values[0] + values[1])
+
+
+def _paired(rows_of, members, lams, mirrored, unit) -> list:
+    """``rows_of`` the members at the spots ``lams`` and, under antithetic
+    pairing, at the ``mirrored`` ones: for each member a list of one or two
+    results, or the exception that stopped it. Members that fail at
+    ``lams`` skip the mirrored spots."""
+    values = [v if isinstance(v, Exception) else [v] for v in rows_of(members, lams, unit)]
+    live = [k for k, v in enumerate(values) if not isinstance(v, Exception)]
+    if mirrored is not None and live:
+        other = rows_of([members[k] for k in live], mirrored, unit)
+        for k, v in zip(live, other):
+            values[k] = v if isinstance(v, Exception) else values[k] + [v]
+    return values
+
+
+def _noise_finish(cfg: ExperimentConfig):
+    """The lr or fd estimates of rows of n draws from their sums."""
+    if cfg.estimator_id == "fd":
+        return lambda total, n: total / n / cfg.fd_eps
+    return lambda total, n: total / n
+
+
+def _noise_sum(cfg: ExperimentConfig, unit, consume: bool) -> np.ndarray:
+    """The lr or fd sums of the unit-spot states ``unit``, one per row;
     with ``consume``, lr overwrites ``unit`` with its states."""
-    eid = cfg.estimator_id
-    if eid == "fd":
+    if cfg.estimator_id == "fd":
         fd = FdConfig(alpha=cfg.fd_alpha, bump=cfg.fd_eps)
-        return _finite(_finite_difference_rows(cfg.model, cfg.payoff, fd, unit), eid)
+        return _finite_difference_sum(cfg.model, cfg.payoff, fd, unit)
     spot = cfg.model.spot
     states = np.multiply(unit, spot, out=unit if consume else None)
     kind = "terminal" if cfg.asian is None else "asian"
-    return _finite(_likelihood_ratio_rows(cfg.model, kind, spot, states, cfg.payoff(states)), eid)
+    return _likelihood_ratio_sum(cfg.model, kind, spot, states, cfg.payoff(states))
 
 
 def _kernel_rows(members, lams, unit) -> list:
-    """Each member's single-kernel estimates of the draws at spots ``lams``,
-    one per row, or the exception that stopped it; the members share
-    randomizer and payoff. ``lams`` serves as scratch and is overwritten.
+    """Each member's single-kernel sums of the draws at spots ``lams``, one
+    per row, with the function that finishes them (its formula's
+    :meth:`_KernelSum.finish`), or the exception that stopped it; the
+    members share randomizer and payoff. ``lams`` serves as scratch and is
+    overwritten.
 
     Offsets, states, payoffs and the support check serve every member.
     Each member then runs its own checks, which yield its formula. Members
@@ -403,10 +525,9 @@ def _kernel_rows(members, lams, unit) -> list:
         groups = sorted(readers.values(), key=lambda group: group[0].tilt is None)
         formulas = [f for f, _ in groups]
         results = _shared_rows(kernel, formulas, payoffs, offsets, g == len(shared) - 1)
-        for rows, (_, idx) in zip(results, groups):
+        for total, (formula, idx) in zip(results, groups):
             for i in idx:
-                eid = members[i][0].estimator_id
-                outcomes[i] = rows if isinstance(rows, Exception) else _attempt(_finite, rows, eid)
+                outcomes[i] = total if isinstance(total, Exception) else (formula.finish, total)
     return outcomes
 
 
@@ -431,8 +552,8 @@ def _double_rows(members, lams, unit) -> list:
 
 
 def _shared_rows(kernel: Kernel, formulas: list, payoffs, offsets, consume: bool) -> list:
-    """The rows of each of ``formulas``, which share h and list those with a
-    tilt first, from one evaluation of the kernel terms; or the exception
+    """The row sums of each of ``formulas``, which share h and list those
+    with a tilt first, from one evaluation of the kernel terms; or the exception
     that stopped it. The last formula with a tilt overwrites K(u), and a
     last one without overwrites K'(u). With ``consume``, u = offsets / h
     overwrites the offsets."""
@@ -450,7 +571,7 @@ def _shared_rows(kernel: Kernel, formulas: list, payoffs, offsets, consume: bool
             out = grad
         else:
             out = None
-        results.append(_attempt(f.rows, payoffs, grad, value, out))
+        results.append(_attempt(f.sum, payoffs, grad, value, out))
     return results
 
 
@@ -487,6 +608,9 @@ def _with_index(exc: Exception, j: int) -> Exception:
 
 
 def _default_workers() -> int:
+    """Up to four threads, one per CPU that this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return min(4, len(os.sched_getaffinity(0)))
     return min(4, os.cpu_count() or 1)
 
 
@@ -496,9 +620,13 @@ def _replicate(members, ids: range, workers: int) -> list:
 
     The members share their draws and run in blocks of
     max(1, min(2^16 // N, ceil(R / workers))) replications, so that every
-    worker gets a block; each row's ``runtime_ms`` is the block's wall time
-    divided by its rows times the members it evaluated. A member's error
-    names its first failing replication, and later blocks skip the member.
+    worker gets a block; a block of one row of more than 2^16 draws is
+    walked in cache-sized leaves (:func:`_evaluate_block`). Each worker
+    holds its buffers for the run, sized by the block or the leaf, so
+    memory grows with neither N nor R. Each row's ``runtime_ms`` is the
+    block's wall time divided by its rows times the members it evaluated.
+    A member's error names its first failing replication, and later blocks
+    skip the member.
     """
     cfg = members[0][0]
     r_count = len(ids)
@@ -518,14 +646,14 @@ def _replicate(members, ids: range, workers: int) -> list:
     errors = {}
 
     def evaluate(active: list, start: int, count: int) -> list:
-        gen, draws, unit = free.get()
+        gens, draws, unit = free.get()
         try:
             values = _attempt(
-                _evaluate_block, [members[i] for i in active], ids[start], gen, draws[:count],
-                unit[:count],
+                _evaluate_block, [members[i] for i in active], ids[start], gens,
+                draws[:, :count], unit[:count],
             )
         finally:
-            free.put((gen, draws, unit))
+            free.put((gens, draws, unit))
         return [values] * len(active) if isinstance(values, Exception) else values
 
     def job(start: int):
@@ -617,8 +745,11 @@ class CommonRun:
     the kernel estimators, noise alone for lr and fd), builds the unit-spot
     states once per layout, and single-kernel estimators with equal
     randomizer and payoff share their offsets, states and payoffs. The
-    double kernel shares the draws and forms a randomizer group of its own.
-    Each config still resolves its own plan.
+    uniforms are drawn once per row and kept for every randomizer. A row
+    of more than 2^16 draws runs in leaves of at most 2^16, each through
+    the whole pipeline, so memory does not grow with N. The double kernel
+    shares the draws and forms a randomizer group of its own, which
+    gathers its rows whole. Each config still resolves its own plan.
 
     The configs must agree on model, averaged state, N, R, seed and
     antithetic pairing; otherwise the constructor raises ValueError. The
@@ -659,8 +790,11 @@ def run_replications(
     Replication j always consumes stream ``stream_base + j``, and the
     output array is indexed by j, so the result does not depend on the
     worker count. Replications run in blocks of
-    max(1, min(2^16 // N, ceil(R / workers))) rows, and each row's
-    ``runtime_ms`` is its block's wall time divided by the block's rows.
+    max(1, min(2^16 // N, ceil(R / workers))) rows, and a row of more than
+    2^16 draws in cache-sized leaves whose sums are added as np.sum adds
+    them, so the estimates do not depend on the block or leaf size either.
+    Each row's ``runtime_ms`` is its block's wall time divided by the
+    block's rows.
     Estimator errors are re-raised with the index of the first failing
     replication prepended and the original chained. With ``common``, a
     :class:`CommonRun` that holds cfg, the result is cfg's share of that

@@ -16,7 +16,9 @@ cross into another consumer's block.
 
 ``stream`` opens a new generator. ``rekey`` moves an open one to the start
 of another stream, with the same draws as ``stream`` and at a fraction of
-its cost; a loop over many streams re-keys one generator.
+its cost; a loop over many streams re-keys one generator. Philox is
+counter-based, so ``skip`` moves a generator far into its stream without
+drawing what it passes over.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ __all__ = [
     "STREAM_REFERENCE",
     "stream",
     "rekey",
+    "skip",
     "sweep_base",
     "replication_ids",
 ]
@@ -71,6 +74,19 @@ def rekey(gen: np.random.Generator, seed: int, stream_id: int) -> np.random.Gene
         "has_uint32": 0,
         "uinteger": 0,
     }
+    return gen
+
+
+def skip(gen: np.random.Generator, draws: int) -> np.random.Generator:
+    """Move ``gen``, a Philox generator at the start of a stream, past its
+    next ``draws`` 64-bit outputs, which is what ``draws`` uniforms consume.
+
+    Philox makes its outputs in blocks of four: the counter jumps the whole
+    blocks, and the rest of the last one is drawn. Returns ``gen``.
+    """
+    bits = gen.bit_generator
+    bits.advance(draws // 4)
+    bits.random_raw(draws % 4)
     return gen
 
 

@@ -1,6 +1,7 @@
 """Replication engine: streams, determinism, summaries, rate fits, references."""
 
 import math
+import os
 import sys
 import threading
 import tracemalloc
@@ -64,7 +65,7 @@ from kernelgreeks import harness, models
 from kernelgreeks.errors import DegenerateBump
 from kernelgreeks.harness import PILOT_N, CommonRun
 from kernelgreeks.models import asian_unit_averages
-from kernelgreeks.rng import PILOT_OFFSET, rekey, replication_ids, sweep_base
+from kernelgreeks.rng import PILOT_OFFSET, rekey, replication_ids, skip, sweep_base
 
 PAPER = GbmParams(spot=120.0, rate=0.0, vol=0.2, maturity=1.0)
 K2 = builtin_kernel("p2")
@@ -782,17 +783,23 @@ def test_blocks_match_lone_replications(monkeypatch, eid, antithetic, asian, n):
 
 
 class _FaultyStream:
-    """A generator whose uniforms come out as ``value`` at one position."""
+    """A generator whose uniforms come out as ``value`` at one position of
+    its stream, however many calls draw them."""
 
-    def __init__(self, rng, value):
-        self._rng, self._value = rng, value
+    def __init__(self, rng, value, position=1):
+        self._rng, self._value, self._at = rng, value, position
 
     def random(self, out):
         self._rng.random(out=out)
-        out[..., 1] = self._value
+        if 0 <= self._at < out.shape[-1]:
+            out[..., self._at] = self._value
+        self._at -= out.shape[-1]
 
     def standard_normal(self, *args, **kwargs):
         return self._rng.standard_normal(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
 
 
 @pytest.mark.parametrize("value, error", [(1.5, ValueError), (np.nan, OutsideSupport)])
@@ -894,6 +901,155 @@ def test_block_runtime_is_shared_by_its_rows(monkeypatch):
     res = run_replications(base_config(n_samples=200, replications=7), workers=1)
     assert res.runtime_ms[0] == res.runtime_ms[1] == res.runtime_ms[2] > 0.0
     assert res.runtime_ms[6] > 0.0
+
+
+# -- row leaves ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("limit", [128, 200, 2**16])
+def test_tree_sum_matches_numpy_sum(limit):
+    rng = np.random.default_rng(8)
+    for n in [*range(1, 301), 2**16 - 1, 2**16 + 1, 100_003, 10**6, 2**20 + 3]:
+        # magnitudes over ten decades, so that any other order rounds differently
+        x = rng.standard_normal(n) * 10.0 ** rng.integers(-5, 5, n)
+        leaves = harness._tree_leaves(n, limit)
+        assert [s for s, _ in leaves] == np.cumsum([0] + [k for _, k in leaves])[:-1].tolist()
+        assert sum(k for _, k in leaves) == n and max(k for _, k in leaves) <= limit
+        flat = harness._tree_add(n, limit, (np.sum(x[s : s + k]) for s, k in leaves))
+        assert flat == np.sum(x), n
+        row = x[None, :]
+        rows = harness._tree_add(n, limit, (np.sum(row[:, s : s + k], axis=-1) for s, k in leaves))
+        assert rows.tolist() == np.sum(row, axis=-1).tolist(), n
+
+
+def test_leaf_limit_never_splits_an_eight_accumulator_run(monkeypatch):
+    assert harness._leaf_limit() == harness._BLOCK_ELEMENTS
+    monkeypatch.setattr(harness, "_BLOCK_ELEMENTS", 50)
+    assert harness._leaf_limit() == 128
+    assert [k for _, k in harness._tree_leaves(317, harness._leaf_limit())] == [72, 80, 80, 85]
+
+
+@pytest.mark.parametrize("m", [0, 1, 3, 4, 5, 62_500, 100_001, 10**6, 10**6 + 3])
+def test_skip_matches_the_straight_stream(m):
+    straight = stream(99, 7)
+    straight.random(m)
+    skipped = skip(stream(99, 7), m)
+    assert np.array_equal(skipped.standard_normal(1001), straight.standard_normal(1001))
+    assert np.array_equal(skipped.random(6), straight.random(6))
+
+
+_LEAF_CASES = [
+    (eid, antithetic, asian, n)
+    for asian in (False, True)
+    for eid, antithetic in [
+        ("uniform", False), ("uniform", True), ("exponential", False), ("exponential", True),
+        ("hat", False), ("hat", True), ("check", False), ("check", True), ("double", False),
+        ("double", True), ("lr", False), ("fd", False),
+    ]
+    for n in (317, 1000, 10_000)
+    if not (asian and eid == "lr") and not (antithetic and n % 2)
+]
+
+
+@pytest.mark.parametrize("eid, antithetic, asian, n", _LEAF_CASES)
+def test_row_leaves_match_lone_replications(monkeypatch, eid, antithetic, asian, n):
+    # leaves of at most 200 draws: every row is walked in two or more
+    extra = {"bandwidth": 1.0} if eid in ("lr", "fd") else {"bandwidth": 6.0}
+    if eid in ("hat", "check"):
+        extra.update(randomizer_kind="truncexp", theta=0.05)
+    elif eid == "exponential":
+        extra.update(theta=-0.05)
+    cfg = base_config(estimator_id=eid, antithetic=antithetic, n_samples=n, replications=3,
+                      asian=AsianConfig(steps=3) if asian else None, seed=515, **extra)
+    monkeypatch.setattr(harness, "_BLOCK_ELEMENTS", 200)
+    want = [_lone_replication(cfg, 70 + j) for j in range(cfg.replications)]
+    for workers in (1, 2, 4):
+        got = run_replications(cfg, workers=workers, stream_base=70).estimates
+        assert got.tolist() == want
+
+
+@pytest.mark.parametrize("payoff", [digital_call(120.0), vanilla_call(110.0)])
+def test_leaves_under_a_clamped_block_size_match_lone_replications(monkeypatch, payoff):
+    # leaves of at most 128 draws, not 50: numpy sums 128 with eight accumulators
+    monkeypatch.setattr(harness, "_BLOCK_ELEMENTS", 50)
+    cfgs = [replace(cfg, payoff=payoff) for cfg in _common_configs(318, False, False)]
+    group = CommonRun(cfgs, workers=2, stream_base=70)
+    for cfg in cfgs:
+        want = [_lone_replication(cfg, 70 + j) for j in range(cfg.replications)]
+        assert group.result(cfg).estimates.tolist() == want, cfg.estimator_id
+
+
+def _six_estimators(n, replications):
+    """The six estimators of a default compare, at fixed bandwidths."""
+    common = dict(n_samples=n, replications=replications, seed=818)
+    cfgs = [base_config(estimator_id=eid, bandwidth=6.0, **common)
+            for eid in ("hat", "check", "uniform")]
+    cfgs.append(base_config(estimator_id="exponential", bandwidth=6.0, theta=-0.05, **common))
+    cfgs += [base_config(estimator_id=eid, bandwidth=1.0, **common) for eid in ("lr", "fd")]
+    return cfgs
+
+
+@pytest.mark.parametrize("n", [2**16 + 1, 10**6])
+def test_common_run_in_leaves_matches_lone_replications(n):
+    cfgs = _six_estimators(n, 2)
+    group = CommonRun(cfgs, workers=2, stream_base=70)
+    for cfg in cfgs:
+        want = [_lone_replication(cfg, 70 + j) for j in range(cfg.replications)]
+        assert group.result(cfg).estimates.tolist() == want, cfg.estimator_id
+
+
+@pytest.mark.parametrize("value, error", [(1.5, ValueError), (np.nan, OutsideSupport)])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_fault_in_the_last_leaf_names_its_replication(monkeypatch, value, error, workers):
+    monkeypatch.setattr(harness, "_BLOCK_ELEMENTS", 200)
+    n = 1000
+    assert harness._tree_leaves(n, 200)[-1][0] < n - 1
+
+    def faulty(gen, seed, stream_id):
+        rng = rekey(gen, seed, stream_id)
+        return _FaultyStream(rng, value, n - 1) if stream_id in (6, 9) else rng
+
+    monkeypatch.setattr(harness, "rekey", faulty)
+    cfgs = [base_config(estimator_id=eid, n_samples=n, replications=11) for eid in ("hat", "uniform")]
+    cfgs.append(base_config(estimator_id="fd", bandwidth=1.0, n_samples=n, replications=11))
+    group = CommonRun(cfgs, workers=workers)
+    for cfg in cfgs[:2]:
+        with pytest.raises(error, match="^replication 6: ") as info:
+            group.result(cfg)
+        assert isinstance(info.value.__cause__, error)
+    # fd draws no uniforms and keeps its estimates
+    assert np.all(np.isfinite(group.result(cfgs[2]).estimates))
+
+
+def test_compare_memory_does_not_grow_with_n():
+    # six estimators at N = 2^20 on two workers: each holds three leaf-sized
+    # buffers and a leaf's temporaries, where whole rows would take 8 MiB per
+    # array; the bound is 24 leaves of _BLOCK_ELEMENTS doubles (12 MiB)
+    cfgs = _six_estimators(2**20, 2)
+    CommonRun(cfgs, workers=2).result(cfgs[0])  # warm up imports and caches
+    group = CommonRun(cfgs, workers=2)
+    tracemalloc.start()
+    try:
+        group.result(cfgs[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * harness._BLOCK_ELEMENTS * 8
+
+
+def test_default_workers_follow_the_affinity_mask(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert harness._default_workers() == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(6)))
+    assert harness._default_workers() == 4
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {2, 5})
+    assert harness._default_workers() == 2
+    # without an affinity mask, the CPU count
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert harness._default_workers() == 4
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert harness._default_workers() == 1
 
 
 # -- common draws ------------------------------------------------------------
@@ -1058,7 +1214,8 @@ def test_shared_group_keeps_each_members_error():
                              randomizer=plans[0].randomizer)
         want.append(estimate_single_kernel_hat(ss, ec).value)
     hat, uniform, check, failed = harness._kernel_rows(list(zip(cfgs, plans)), lams, unit)
-    assert hat.tolist() == check.tolist() == want
+    # each member's row sums come with the function that finishes them
+    assert [finish(total, 50).tolist() for finish, total in (hat, check)] == [want, want]
     assert isinstance(uniform, DegenerateBandwidth)
     assert isinstance(failed, ZeroDivisionError)
 
