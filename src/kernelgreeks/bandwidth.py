@@ -3,12 +3,12 @@
 The selection pipeline runs a cheap pilot simulation at the query spot,
 fits log-moments by the rule of thumb, plugs them into the score
 recursion to estimate the payoff-weighted derivative moments E_k, turns
-those into the bias constant C(theta), optionally tunes the exponential
-tilt theta to shrink |C|, and finally balances the squared-bias and
-variance terms of the mean squared error in closed form.
+those into the bias constant C(theta), tunes the exponential tilt
+theta to shrink |C| unless theta is given, and finally balances the
+squared-bias and variance terms of the mean squared error in closed form.
 
-All formulas keep the state dimension d symbolic in the docstrings but
-the implementation fixes d = 1, matching the rest of the package.
+Every kernel estimator runs at the one MSE-optimal bandwidth of the
+coupled support epsilon = M h; theta = 0 is the uniform randomizer.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .models import LognormalLaw, Payoff, law_density_ratio
 __all__ = [
     "PilotEstimates",
     "BandwidthChoice",
-    "BANDWIDTH_MODES",
     "DEGENERATE_BIAS_TOL",
     "rule_of_thumb_moments",
     "estimate_Ek",
@@ -45,9 +44,6 @@ __all__ = [
 
 #: bias constants below this magnitude trigger the bias-free fallback
 DEGENERATE_BIAS_TOL = 1e-12
-
-#: modes accepted by optimal_bandwidth; the first two couple epsilon = M h
-BANDWIDTH_MODES = ("uniform", "exponential", "hat", "check")
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -83,7 +79,6 @@ class BandwidthChoice:
     theta_star: float
     predicted_mse: float
     bias_constant: float
-    mode: str
     degenerate: bool = False
 
 
@@ -214,19 +209,14 @@ def optimize_theta(
     return float(min(max(theta, -theta_max), theta_max))
 
 
-def optimal_bandwidth(
-    mode: str, sigma: float, bias_c: float, p: int, d: int, N: int
-) -> tuple[float, bool]:
+def optimal_bandwidth(sigma: float, bias_c: float, p: int, N: int) -> tuple[float, bool]:
     """MSE-balancing bandwidth; returns (h, degenerate_flag).
 
-    The coupled uniform/exponential estimators minimize
-    sigma N^-1 h^-2 + C^2 h^2p, giving (sigma/(p C^2 N))^{1/(2p+2)}; the
-    general single-kernel ones carry the extra h^-d of the kernel window,
-    giving ((d+2) sigma/(2p C^2 N))^{1/(d+2p+2)}. A bias constant below
-    1e-12 switches to the bias-free rate h = N^{-1/(2p+2)} and warns.
+    With the support coupled as epsilon = M h, the estimators minimize
+    sigma N^-1 h^-2 + C^2 h^2p, giving (sigma/(p C^2 N))^{1/(2p+2)}. A bias
+    constant below 1e-12 switches to the bias-free rate h = N^{-1/(2p+2)}
+    and warns.
     """
-    if mode not in BANDWIDTH_MODES:
-        raise ValueError(f"mode must be one of {BANDWIDTH_MODES}, got {mode!r}")
     if sigma <= 0.0:
         raise NonPositiveVariance(f"variance scale must be positive, got {sigma}")
     if N < 1 or p < 2:
@@ -238,10 +228,7 @@ def optimal_bandwidth(
         )
         return float(N) ** (-1.0 / (2 * p + 2)), True
     c2 = bias_c * bias_c
-    if mode in ("uniform", "exponential"):
-        h = (sigma / (p * c2 * N)) ** (1.0 / (2 * p + 2))
-    else:
-        h = ((d + 2) * sigma / (2 * p * c2 * N)) ** (1.0 / (d + 2 * p + 2))
+    h = (sigma / (p * c2 * N)) ** (1.0 / (2 * p + 2))
     return float(h), False
 
 
@@ -268,7 +255,6 @@ def select_bandwidth(
     payoff: Payoff,
     spot: float,
     kernel: Kernel,
-    mode: str,
     n_target: int,
     law: LognormalLaw | None = None,
     theta: float | None = None,
@@ -278,8 +264,9 @@ def select_bandwidth(
     ``states`` are pilot draws of the (terminal or averaged) state at the
     fixed spot. When ``law`` is omitted the rule-of-thumb lognormal fit
     of the draws is plugged in; passing the true law skips that step.
-    The exponential mode tunes theta inside the bracket
-    theta_max = 50 / (M * N^{-1/(2p+2)}) unless a fixed theta is given.
+    Without a fixed ``theta`` the tilt is tuned inside the bracket
+    theta_max = 50 / (M * N^{-1/(2p+2)}); theta = 0 is the uniform
+    randomizer's.
     """
     states = np.asarray(states, dtype=float)
     m_hat, Sigma_hat = rule_of_thumb_moments(states, spot)
@@ -297,21 +284,17 @@ def select_bandwidth(
         E=E, sigma_e=sigma_e, m_hat=m_hat, Sigma_hat=Sigma_hat, pilot_N=states.size
     )
     if theta is None:
-        if mode == "exponential":
-            h_ref = float(n_target) ** (-1.0 / (2 * p + 2))
-            theta_max = 50.0 / (kernel.support_radius * h_ref)
-            theta = optimize_theta(E, p, moment_p, theta_max=theta_max)
-        else:
-            theta = 0.0
+        h_ref = float(n_target) ** (-1.0 / (2 * p + 2))
+        theta_max = 50.0 / (kernel.support_radius * h_ref)
+        theta = optimize_theta(E, p, moment_p, theta_max=theta_max)
     bias_c = bias_constant_Ce(E, p, moment_p, theta)
-    h, degenerate = optimal_bandwidth(mode, sigma_e, bias_c, p, 1, n_target)
+    h, degenerate = optimal_bandwidth(sigma_e, bias_c, p, n_target)
     mse = predicted_mse(sigma_e, bias_c, p, n_target)
     choice = BandwidthChoice(
         h_star=h,
         theta_star=theta,
         predicted_mse=mse,
         bias_constant=bias_c,
-        mode=mode,
         degenerate=degenerate,
     )
     return pilot, choice

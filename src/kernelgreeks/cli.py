@@ -157,11 +157,6 @@ def _build_config(ns, estimator_id: str, n: int) -> ExperimentConfig:
         raise ValueError(f"unknown estimator {estimator_id!r}")
     if ns.asian_steps > 0 and estimator_id == "lr":
         raise ValueError("the lr estimator needs the terminal state (drop --asian-steps)")
-    randomizer_kind = (
-        "truncexp"
-        if ns.theta is not None and estimator_id in ("hat", "check", "double")
-        else "uniform"
-    )
     bandwidth = _bandwidth_value(ns)
     if estimator_id not in KERNEL_ESTIMATORS and bandwidth == "auto":
         bandwidth = 1.0  # unused by lr/fd, but the config requires a value
@@ -179,7 +174,6 @@ def _build_config(ns, estimator_id: str, n: int) -> ExperimentConfig:
         estimator_id=estimator_id,
         asian=asian,
         kernel_family=ns.kernel,
-        randomizer_kind=randomizer_kind,
         bandwidth=bandwidth,
         theta=ns.theta,
         n_samples=n,

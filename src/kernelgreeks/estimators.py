@@ -7,13 +7,14 @@ the payoff, which is the point: the digital call works as-is.
 
 Estimator menu
 --------------
-- ``estimate_single_kernel_hat`` / ``estimate_single_kernel_check``:
-  integration by parts against the randomizing density; the two differ
-  only in where the log-density gradient is evaluated and coincide for
-  the uniform and tilted-exponential families.
-- ``estimate_uniform_opt`` / ``estimate_exponential_opt``: the same
-  estimators specialized to the coupled support epsilon = M h, in the
-  compact form used throughout the experiments.
+- ``estimate_single_kernel_hat`` / ``estimate_single_kernel_check`` /
+  ``estimate_uniform_opt`` / ``estimate_exponential_opt``: entry points
+  to one formula, sum phi(Z_i) (K'(u_i) + theta h K(u_i)) / (ell(0) N h^2)
+  with u_i = (lambda0 - Lambda_i) / h, built and checked by
+  :func:`_formula`. hat and check read theta from the randomizer, whose
+  log-density gradient is constant on the support for both families, so
+  the two agree bit for bit; uniform and exponential couple the support
+  to the kernel window, epsilon = M h, and uniform is theta = 0.
 - ``estimate_double_kernel``: plugs a leave-one-out kernel estimate of
   the score into the localized regression; needs a second kernel acting
   in the state dimension.
@@ -165,9 +166,9 @@ def _require_bandwidth(h: float) -> float:
     return float(h)
 
 
-def _resolve_randomizer(gen: Randomizer | None, config: EstimatorConfig) -> Randomizer:
-    """The config's randomizer, else the generating one ``gen``; both must agree."""
-    cand = config.randomizer if config.randomizer is not None else gen
+def _resolve_randomizer(gen: Randomizer | None, given: Randomizer | None) -> Randomizer:
+    """The ``given`` randomizer, else the generating one ``gen``; both must agree."""
+    cand = given if given is not None else gen
     if cand is None:
         raise RandomizerMismatch("no randomizer available on the config or the sample set")
     if gen is not None and (
@@ -190,8 +191,8 @@ def _finite(values, estimator_id: str):
 
 @dataclass(frozen=True)
 class _KernelSum:
-    """One single-kernel formula whose checks have passed: with u = offsets / h
-    and the draws along the last axis, the rows
+    """A single-kernel formula whose checks have passed (:func:`_formula`):
+    with u = offsets / h and the draws along the last axis, the rows
 
         sum(phi * (K(u) * tilt[0] * tilt[1] ... + K'(u))) / (ell0 * N * h * h),
 
@@ -240,36 +241,78 @@ def _kernel_terms(kernel: Kernel, h: float, offsets, values: bool, out=None) -> 
     return kernel.gradient(u), kernel(u) if values else None
 
 
-def _kernel_sum_rows(kernel: Kernel, formula: _KernelSum, payoffs, offsets) -> np.ndarray:
-    """``formula`` on its own kernel terms; it overwrites ``offsets`` and the
-    terms."""
-    grad, value = _kernel_terms(kernel, formula.h, offsets, formula.tilt is not None, offsets)
-    total = formula.sum(payoffs, grad, value, out=grad if value is None else value)
-    return formula.finish(total, payoffs.shape[-1])
+def _formula(
+    eid: str,
+    gen: Randomizer | None,
+    kernel: Kernel,
+    bandwidth: float,
+    randomizer: Randomizer | None = None,
+    theta: float | None = None,
+    offsets=None,
+) -> _KernelSum:
+    """The checked formula of the single-kernel estimator ``eid`` (hat,
+    check, uniform or exponential) of draws made with the generating
+    randomizer ``gen``, None if unknown; raises the estimator's error if a
+    check fails.
+
+    hat and check take ``randomizer`` when given, else ``gen``, and check
+    the ``offsets`` lambda0 - Lambda_i against its support when no ``gen``
+    did. uniform and exponential couple the support to the kernel window,
+    epsilon = M h, or take gen's epsilon if it covers the window;
+    exponential takes the tilt ``theta``, else gen's.
+    """
+    h = _require_bandwidth(bandwidth)
+    if eid in ("hat", "check"):
+        r = _resolve_randomizer(gen, randomizer)
+        if gen is None:  # no generating randomizer checked these draws
+            _require_support(offsets, r)
+        # the log-density gradient is constant on the support, so its value at
+        # each drawn offset is its value at 0
+        return _KernelSum(h, (h, r.grad_log_density(0.0)), ell0=r.density_at_zero())
+    kind = "uniform"
+    if eid == "exponential":
+        if theta is None:
+            if gen is None:
+                raise RandomizerMismatch("theta not given and the sample set carries no randomizer")
+            theta = gen.theta
+        if gen is None or gen.kind != "uniform":
+            kind = "truncexp"
+        elif theta != 0.0:
+            raise RandomizerMismatch("uniform samples require theta = 0")
+        if gen is not None and abs(gen.theta - theta) > 1e-12 * max(1.0, abs(theta)):
+            raise RandomizerMismatch(f"theta {theta} disagrees with the generating tilt {gen.theta}")
+    eps = kernel.support_radius * h
+    if gen is not None:
+        if gen.kind != kind:
+            raise RandomizerMismatch(f"samples were drawn with {gen.kind!r}, estimator wants {kind!r}")
+        if gen.epsilon < eps * (1.0 - 1e-12):
+            raise RandomizerMismatch(
+                f"generating epsilon {gen.epsilon} is below the kernel window {eps}"
+            )
+        eps = gen.epsilon
+    if eid == "uniform":
+        return _KernelSum(h, eps=eps)
+    ell0 = Randomizer(kind="truncexp", epsilon=eps, theta=theta).density_at_zero()
+    return _KernelSum(h, (theta * h,), ell0=ell0)
 
 
-# The *_sum functions below run an estimator's checks and return its
-# formula. They take the offsets lambda0 - Lambda_i with the draws along the
-# last axis. The public estimators reduce one row with the formula; the
-# harness shares the kernel terms of a block among its estimators.
-
-
-def _single_kernel_sum(gen: Randomizer | None, config: EstimatorConfig, offsets) -> _KernelSum:
-    h = _require_bandwidth(config.bandwidth)
-    r = _resolve_randomizer(gen, config)
-    if gen is None:  # no generating randomizer checked these draws
-        _require_support(offsets, r)
-    # the log-density gradient is constant on the support, so its value at
-    # each drawn offset is its value at 0
-    return _KernelSum(h, (h, r.grad_log_density(0.0)), ell0=r.density_at_zero())
-
-
-def _single_kernel(samples: SampleSet, config: EstimatorConfig, tag: str) -> Estimate:
+def _kernel_estimate(
+    eid: str,
+    samples: SampleSet,
+    kernel: Kernel,
+    bandwidth: float,
+    randomizer: Randomizer | None = None,
+    theta: float | None = None,
+) -> Estimate:
+    """The single-kernel estimate ``eid`` of ``samples`` by its
+    :func:`_formula`."""
     _require_draws(samples)
     offsets = samples.lambda0 - samples.lambdas
-    formula = _single_kernel_sum(samples.randomizer, config, offsets)
-    value = _kernel_sum_rows(config.kernel, formula, samples.payoffs, offsets)
-    return Estimate(float(_finite(value, tag)), samples.n, tag)
+    formula = _formula(eid, samples.randomizer, kernel, bandwidth, randomizer, theta, offsets)
+    # u = offsets / h and then the terms overwrite the offsets
+    grad, value = _kernel_terms(kernel, formula.h, offsets, formula.tilt is not None, offsets)
+    total = formula.sum(samples.payoffs, grad, value, out=grad if value is None else value)
+    return Estimate(float(_finite(formula.finish(total, samples.n), eid)), samples.n, eid)
 
 
 def estimate_single_kernel_hat(samples: SampleSet, config: EstimatorConfig) -> Estimate:
@@ -278,67 +321,24 @@ def estimate_single_kernel_hat(samples: SampleSet, config: EstimatorConfig) -> E
     Both randomizer families have a constant gradient on the support, so
     this is :func:`estimate_single_kernel_check` bit for bit.
     """
-    return _single_kernel(samples, config, tag="hat")
+    return _kernel_estimate("hat", samples, config.kernel, config.bandwidth, config.randomizer)
 
 
 def estimate_single_kernel_check(samples: SampleSet, config: EstimatorConfig) -> Estimate:
     """Kernel estimator with the log-density gradient frozen at offset 0."""
-    return _single_kernel(samples, config, tag="check")
-
-
-def _coupled_epsilon(gen: Randomizer | None, kernel: Kernel, h: float, kind: str) -> float:
-    """Support radius for the optimized estimators; must cover M*h."""
-    needed = kernel.support_radius * h
-    if gen is None:
-        return needed
-    if gen.kind != kind:
-        raise RandomizerMismatch(f"samples were drawn with {gen.kind!r}, estimator wants {kind!r}")
-    if gen.epsilon < needed * (1.0 - 1e-12):
-        raise RandomizerMismatch(
-            f"generating epsilon {gen.epsilon} is below the kernel window {needed}"
-        )
-    return gen.epsilon
-
-
-def _uniform_sum(gen: Randomizer | None, kernel: Kernel, bandwidth: float) -> _KernelSum:
-    h = _require_bandwidth(bandwidth)
-    return _KernelSum(h, eps=_coupled_epsilon(gen, kernel, h, "uniform"))
+    return _kernel_estimate("check", samples, config.kernel, config.bandwidth, config.randomizer)
 
 
 def estimate_uniform_opt(samples: SampleSet, kernel: Kernel, bandwidth: float) -> Estimate:
     """Optimized uniform-randomization estimator, support coupled as eps = M h."""
-    _require_draws(samples)
-    formula = _uniform_sum(samples.randomizer, kernel, bandwidth)
-    value = _kernel_sum_rows(kernel, formula, samples.payoffs, samples.lambda0 - samples.lambdas)
-    return Estimate(float(_finite(value, "uniform")), samples.n, "uniform")
-
-
-def _exponential_sum(
-    gen: Randomizer | None, kernel: Kernel, bandwidth: float, theta: float | None
-) -> _KernelSum:
-    h = _require_bandwidth(bandwidth)
-    if theta is None:
-        if gen is None:
-            raise RandomizerMismatch("theta not given and the sample set carries no randomizer")
-        theta = gen.theta
-    kind = "uniform" if (gen is not None and gen.kind == "uniform") else "truncexp"
-    if kind == "uniform" and theta != 0.0:
-        raise RandomizerMismatch("uniform samples require theta = 0")
-    if gen is not None and abs(gen.theta - theta) > 1e-12 * max(1.0, abs(theta)):
-        raise RandomizerMismatch(f"theta {theta} disagrees with the generating tilt {gen.theta}")
-    eps = _coupled_epsilon(gen, kernel, h, kind)
-    ell0 = Randomizer(kind="truncexp", epsilon=eps, theta=theta).density_at_zero()
-    return _KernelSum(h, (theta * h,), ell0=ell0)
+    return _kernel_estimate("uniform", samples, kernel, bandwidth)
 
 
 def estimate_exponential_opt(
     samples: SampleSet, kernel: Kernel, bandwidth: float, theta: float | None = None
 ) -> Estimate:
     """Optimized exponential-randomization estimator; theta = 0 is the uniform one."""
-    _require_draws(samples)
-    formula = _exponential_sum(samples.randomizer, kernel, bandwidth, theta)
-    value = _kernel_sum_rows(kernel, formula, samples.payoffs, samples.lambda0 - samples.lambdas)
-    return Estimate(float(_finite(value, "exponential")), samples.n, "exponential")
+    return _kernel_estimate("exponential", samples, kernel, bandwidth, theta=theta)
 
 
 def estimate_double_kernel(samples: SampleSet, config: EstimatorConfig) -> Estimate:
@@ -366,7 +366,7 @@ def _double_kernel(samples: SampleSet, config: EstimatorConfig, pair_sums) -> tu
         raise MissingSecondKernel("double-kernel estimation needs a state-dimension kernel")
     h = _require_bandwidth(config.bandwidth)
     kernel, second = config.kernel, config.second_kernel
-    r = _resolve_randomizer(samples.randomizer, config)
+    r = _resolve_randomizer(samples.randomizer, config.randomizer)
     n = samples.n
 
     order = np.argsort(samples.states, kind="stable")
@@ -578,7 +578,7 @@ def estimate_oracle_score(
     if config is None:
         raise ValueError("localized score estimation needs an EstimatorConfig")
     h = _require_bandwidth(config.bandwidth)
-    r = _resolve_randomizer(samples.randomizer, config)
+    r = _resolve_randomizer(samples.randomizer, config.randomizer)
     svals = law_standardized_d(law, samples.lambdas, samples.states) / samples.lambdas
     weights = config.kernel((samples.lambda0 - samples.lambdas) / h)
     value = float(np.sum(samples.payoffs * svals * weights)) / (

@@ -28,15 +28,14 @@ from .estimators import (
     estimate_double_kernel,
 )
 from .estimators import (
-    _exponential_sum,
     _finite,
     _finite_difference_sum,
+    _formula,
     _kernel_terms,
     _KernelSum,
     _likelihood_ratio_sum,
+    _require_bandwidth,
     _require_support,
-    _single_kernel_sum,
-    _uniform_sum,
 )
 from .kernels import Kernel, builtin_kernel
 from .models import (
@@ -113,9 +112,8 @@ class ExperimentConfig:
     ``bandwidth`` is either the string "auto" (run the pilot pipeline
     before the main run) or a fixed positive value. ``theta`` is the
     exponential tilt; None lets the pilot optimize it in auto mode and
-    means 0 otherwise. The uniform and exponential estimators force
-    their own randomizer kind; hat/check/double follow
-    ``randomizer_kind``.
+    means 0 otherwise. The randomizer follows from the estimator and
+    theta (:attr:`effective_randomizer_kind`).
     """
 
     model: GbmParams
@@ -123,7 +121,6 @@ class ExperimentConfig:
     estimator_id: str
     asian: AsianConfig | None = None
     kernel_family: str = "p2"
-    randomizer_kind: str = "uniform"
     bandwidth: float | str = "auto"
     theta: float | None = None
     n_samples: int = 100_000
@@ -153,8 +150,6 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.randomizer_kind not in ("uniform", "truncexp"):
-            raise ValueError(f"unknown randomizer kind {self.randomizer_kind!r}")
         if self.antithetic:
             if self.estimator_id not in KERNEL_ESTIMATORS:
                 raise ValueError("antithetic pairing applies to kernel estimators only")
@@ -163,11 +158,14 @@ class ExperimentConfig:
 
     @property
     def effective_randomizer_kind(self) -> str:
-        if self.estimator_id == "uniform":
-            return "uniform"
-        if self.estimator_id == "exponential":
+        """The tilted family "truncexp" for the exponential estimator and
+        whenever theta is given, 0.0 included, except for the uniform
+        estimator; "uniform" otherwise."""
+        if self.estimator_id == "exponential" or (
+            self.theta is not None and self.estimator_id != "uniform"
+        ):
             return "truncexp"
-        return self.randomizer_kind
+        return "uniform"
 
 
 @dataclass(frozen=True)
@@ -212,6 +210,9 @@ class RateFit:
 
 @dataclass(frozen=True)
 class _RunPlan:
+    """A run's resolved parameters; ``formula`` is the checked formula of a
+    single-kernel estimator (hat, check, uniform, exponential)."""
+
     kernel: Kernel | None
     second_kernel: Kernel | None
     h: float | None
@@ -219,6 +220,7 @@ class _RunPlan:
     randomizer: Randomizer | None
     pilot: PilotEstimates | None
     choice: BandwidthChoice | None
+    formula: _KernelSum | None = None
 
 
 def _pilot_states(cfg: ExperimentConfig, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -231,10 +233,16 @@ def _pilot_states(cfg: ExperimentConfig, rng: np.random.Generator, n: int) -> np
 
 
 def resolve_run(cfg: ExperimentConfig, stream_base: int = 0) -> _RunPlan:
-    """Fix kernel, bandwidth, tilt and randomizer before replicating.
+    """Fix kernel, bandwidth, tilt, randomizer and, for a single-kernel
+    estimator, its checked formula before replicating.
 
-    Automatic bandwidth runs the pilot pipeline once, on its own stream,
-    so every replication sees the same resolved parameters.
+    This is the one place where a run's plan is decided: the replications
+    read it and check only their draws. Automatic bandwidth runs the pilot
+    pipeline once, on its own stream, so every replication sees the same
+    resolved parameters; the pilot tunes theta unless it is given or the
+    randomizer is uniform. A bandwidth that is not positive and finite
+    raises DegenerateBandwidth, and a failed check of the formula its
+    estimator's error.
     """
     if cfg.estimator_id not in KERNEL_ESTIMATORS:
         return _RunPlan(None, None, None, None, None, None, None)
@@ -246,15 +254,15 @@ def resolve_run(cfg: ExperimentConfig, stream_base: int = 0) -> _RunPlan:
     if cfg.bandwidth == "auto":
         rng = stream(cfg.seed, stream_base + PILOT_OFFSET)
         states = _pilot_states(cfg, rng, PILOT_N)
-        mode = "uniform" if kind == "uniform" else "exponential"
         theta_arg = 0.0 if kind == "uniform" else cfg.theta
         pilot, choice = select_bandwidth(
-            states, cfg.payoff, cfg.model.spot, kernel, mode, cfg.n_samples, theta=theta_arg
+            states, cfg.payoff, cfg.model.spot, kernel, cfg.n_samples, theta=theta_arg
         )
         h, theta = choice.h_star, choice.theta_star
     else:
         h = float(cfg.bandwidth)
         theta = 0.0 if cfg.theta is None else float(cfg.theta)
+    h = _require_bandwidth(h)
     epsilon = kernel.support_radius * h
     if cfg.estimator_id == "double":
         # the leave-one-out density windows must stay inside the offset
@@ -264,8 +272,10 @@ def resolve_run(cfg: ExperimentConfig, stream_base: int = 0) -> _RunPlan:
         # radius keeps the windows of all outer-weighted draws clear.
         epsilon *= 2.0
     randomizer = Randomizer(kind=kind, epsilon=epsilon, theta=theta)
-    second = kernel if cfg.estimator_id == "double" else None
-    return _RunPlan(kernel, second, h, theta, randomizer, pilot, choice)
+    if cfg.estimator_id == "double":
+        return _RunPlan(kernel, kernel, h, theta, randomizer, pilot, choice)
+    formula = _formula(cfg.estimator_id, randomizer, kernel, h, theta=theta)
+    return _RunPlan(kernel, None, h, theta, randomizer, pilot, choice, formula)
 
 
 def _draws_per_row(cfg: ExperimentConfig) -> int:
@@ -491,19 +501,20 @@ def _noise_sum(cfg: ExperimentConfig, unit, consume: bool) -> np.ndarray:
 
 def _kernel_rows(members, lams, unit) -> list:
     """Each member's single-kernel sums of the draws at spots ``lams``, one
-    per row, with the function that finishes them (its formula's
+    per row, with the function that finishes them (its plan's
     :meth:`_KernelSum.finish`), or the exception that stopped it; the
     members share randomizer and payoff. ``lams`` serves as scratch and is
     overwritten.
 
-    Offsets, states, payoffs and the support check serve every member.
-    Each member then runs its own checks, which yield its formula. Members
-    with equal kernel and h share u = offsets / h, K'(u) and K(u), the
-    latter only if a formula reads it; u is dropped before the formulas
-    run, and the last such group takes it in place of the offsets. Equal
-    formulas, as hat and check are, reduce once. The last formula to read
-    K(u) and the last to read K'(u) (uniform, ordered last) overwrite it,
-    so the members hold no more (rows, N) arrays at once than one alone.
+    Offsets, states, payoffs and the support check of the draws serve
+    every member; the formulas were checked when the plans were resolved.
+    Members with equal kernel and h share u = offsets / h, K'(u) and K(u),
+    the latter only if a formula reads it; u is dropped before the
+    formulas run, and the last such group takes it in place of the
+    offsets. Equal formulas, as hat and check are, reduce once. The last
+    formula to read K(u) and the last to read K'(u) (uniform, ordered
+    last) overwrite it, so the members hold no more (rows, N) arrays at
+    once than one alone.
     """
     cfg, plan = members[0]
     states = np.multiply(lams, unit)
@@ -512,15 +523,13 @@ def _kernel_rows(members, lams, unit) -> list:
     outside = _attempt(_require_support, offsets, plan.randomizer)
     if outside is not None:
         return [outside] * len(members)
-    outcomes = [_attempt(_checked_formula, c, p, offsets) for c, p in members]
+    outcomes = [None] * len(members)
     # terms key -> (kernel, {formula: (formula, its members)}); repr tells a
     # tilt of -0.0 from 0.0, which == does not
     shared = {}
-    for i, formula in enumerate(outcomes):
-        if not isinstance(formula, Exception):
-            kernel = members[i][1].kernel
-            readers = shared.setdefault(_terms_key(kernel, formula.h), (kernel, {}))[1]
-            readers.setdefault(repr(formula), (formula, []))[1].append(i)
+    for i, (_, p) in enumerate(members):
+        readers = shared.setdefault(_terms_key(p.kernel, p.formula.h), (p.kernel, {}))[1]
+        readers.setdefault(repr(p.formula), (p.formula, []))[1].append(i)
     for g, (kernel, readers) in enumerate(shared.values()):
         groups = sorted(readers.values(), key=lambda group: group[0].tilt is None)
         formulas = [f for f, _ in groups]
@@ -578,17 +587,6 @@ def _shared_rows(kernel: Kernel, formulas: list, payoffs, offsets, consume: bool
 def _terms_key(kernel: Kernel, h: float) -> tuple:
     """What K(u) and K'(u) at u = offsets / h depend on."""
     return kernel.support_radius, kernel.coeffs.tobytes(), h
-
-
-def _checked_formula(cfg: ExperimentConfig, plan: _RunPlan, offsets) -> _KernelSum:
-    """The checked formula of a kernel estimator of the draws at ``offsets``."""
-    eid = cfg.estimator_id
-    if eid == "uniform":
-        return _uniform_sum(plan.randomizer, plan.kernel, plan.h)
-    if eid == "exponential":
-        return _exponential_sum(plan.randomizer, plan.kernel, plan.h, plan.theta)
-    ec = EstimatorConfig(kernel=plan.kernel, bandwidth=plan.h, randomizer=plan.randomizer)
-    return _single_kernel_sum(plan.randomizer, ec, offsets)
 
 
 def _with_index(exc: Exception, j: int) -> Exception:

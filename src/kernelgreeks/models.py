@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonPositiveState
+from .errors import DimensionMismatch, NonFiniteEstimate, NonPositiveState
 
 __all__ = [
     "GbmParams",
@@ -263,10 +263,18 @@ def score_coefficients(law: LognormalLaw, k: int) -> ScoreCoefficients:
 
 
 def law_density_ratio(law: LognormalLaw, x: float, z, k: int):
-    """The ratio (d^k f/dx^k) / f evaluated via the coefficient recursion."""
+    """The ratio (d^k f/dx^k) / f evaluated via the coefficient recursion.
+
+    Raises NonFiniteEstimate when x^k overflows, where the ratio would
+    silently read 0.
+    """
     d = law_standardized_d(law, x, z)
     coeffs = np.asarray(score_coefficients(law, k).a)
-    out = np.polynomial.polynomial.polyval(np.asarray(d), coeffs) / x**k
+    try:
+        scale = float(x) ** k
+    except OverflowError:
+        raise NonFiniteEstimate(f"the ratio needs x**{k}, which overflows at x = {x!r}") from None
+    out = np.polynomial.polynomial.polyval(np.asarray(d), coeffs) / scale
     return float(out) if np.ndim(out) == 0 else out
 
 

@@ -9,30 +9,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kernelgreeks import (
-    BandwidthChoice,
-    DegenerateBiasWarning,
-    DegenerateVarianceWarning,
     GbmParams,
-    InsufficientPilot,
-    LognormalLaw,
-    NonPositiveState,
-    NonPositiveVariance,
-    PilotEstimates,
     bias_constant_Ce,
     builtin_kernel,
     closed_form_digital_delta,
-    constant_payoff,
     digital_call,
     estimate_Ek,
     law_density_ratio,
     lognormal_params,
-    optimal_bandwidth,
     optimize_theta,
+    simulate_terminal,
+)
+from kernelgreeks.bandwidth import (
+    BandwidthChoice,
+    PilotEstimates,
+    optimal_bandwidth,
     predicted_mse,
     rule_of_thumb_moments,
     select_bandwidth,
-    simulate_terminal,
 )
+from kernelgreeks.errors import (
+    DegenerateBiasWarning,
+    DegenerateVarianceWarning,
+    InsufficientPilot,
+    NonPositiveState,
+    NonPositiveVariance,
+)
+from kernelgreeks.models import LognormalLaw, constant_payoff
 
 K2 = builtin_kernel("p2")
 M2 = K2.moment(2)  # 0.2
@@ -182,45 +185,40 @@ def test_optimize_theta_symmetric_no_root():
 
 
 def test_optimal_bandwidth_examples():
-    h, degenerate = optimal_bandwidth("exponential", 1.5, 1.0, 2, 1, 10**6)
+    h, degenerate = optimal_bandwidth(1.5, 1.0, 2, 10**6)
     assert not degenerate
     assert h == pytest.approx((1.5 / 2e6) ** (1.0 / 6.0), rel=1e-14)
     assert h == pytest.approx(0.09531842929969367, rel=1e-13)
-    h2, _ = optimal_bandwidth("hat", 1.0, 1.0, 2, 1, 10**6)
-    assert h2 == pytest.approx((3.0 / 4e6) ** (1.0 / 7.0), rel=1e-14)
-    assert h2 == pytest.approx(0.1333548305590858, rel=1e-13)
 
 
 def test_optimal_bandwidth_degenerate_fallback():
     with pytest.warns(DegenerateBiasWarning):
-        h, degenerate = optimal_bandwidth("uniform", 1.0, 0.0, 2, 1, 10**6)
+        h, degenerate = optimal_bandwidth(1.0, 0.0, 2, 10**6)
     assert degenerate
     assert h == pytest.approx(10.0 ** (-1.0), rel=1e-14)
 
 
 def test_optimal_bandwidth_guards():
-    with pytest.raises(ValueError):
-        optimal_bandwidth("gauss", 1.0, 1.0, 2, 1, 100)
     with pytest.raises(NonPositiveVariance):
-        optimal_bandwidth("uniform", 0.0, 1.0, 2, 1, 100)
+        optimal_bandwidth(0.0, 1.0, 2, 100)
     with pytest.raises(ValueError):
-        optimal_bandwidth("uniform", 1.0, 1.0, 1, 1, 100)
+        optimal_bandwidth(1.0, 1.0, 1, 100)
     with pytest.raises(ValueError):
-        optimal_bandwidth("uniform", 1.0, 1.0, 2, 1, 0)
+        optimal_bandwidth(1.0, 1.0, 2, 0)
 
 
 def test_optimal_bandwidth_monotone():
-    h_small, _ = optimal_bandwidth("uniform", 1.0, 1.0, 2, 1, 10**5)
-    h_large, _ = optimal_bandwidth("uniform", 1.0, 1.0, 2, 1, 10**6)
+    h_small, _ = optimal_bandwidth(1.0, 1.0, 2, 10**5)
+    h_large, _ = optimal_bandwidth(1.0, 1.0, 2, 10**6)
     assert h_large < h_small
-    h_lowbias, _ = optimal_bandwidth("uniform", 1.0, 0.1, 2, 1, 10**5)
+    h_lowbias, _ = optimal_bandwidth(1.0, 0.1, 2, 10**5)
     assert h_lowbias > h_small
 
 
 def test_optimal_bandwidth_dyadic_scaling():
     # multiplying N by 2^(2p+2) halves the coupled bandwidth exactly
-    h1, _ = optimal_bandwidth("uniform", 2.3, 0.8, 2, 1, 10**4)
-    h2, _ = optimal_bandwidth("uniform", 2.3, 0.8, 2, 1, 10**4 * 2**6)
+    h1, _ = optimal_bandwidth(2.3, 0.8, 2, 10**4)
+    h2, _ = optimal_bandwidth(2.3, 0.8, 2, 10**4 * 2**6)
     assert h2 == pytest.approx(h1 / 2.0, rel=1e-12)
 
 
@@ -236,7 +234,7 @@ def test_predicted_mse_is_twice_the_minimum():
         sigma = float(rng.uniform(0.1, 5.0))
         c = float(rng.uniform(0.05, 3.0))
         n = int(rng.integers(10**4, 10**7))
-        h, _ = optimal_bandwidth("uniform", sigma, c, p, 1, n)
+        h, _ = optimal_bandwidth(sigma, c, p, n)
         objective = lambda hh: sigma / (n * hh * hh) + c * c * hh ** (2 * p)
         assert predicted_mse(sigma, c, p, n) == pytest.approx(2.0 * objective(h), rel=1e-12)
         assert predicted_mse(sigma, c, p, n) <= objective(0.5 * h)
@@ -252,10 +250,9 @@ def pilot_states(seed, n=100_000):
 
 def test_select_bandwidth_uniform_mode():
     pilot, choice = select_bandwidth(
-        pilot_states(100), digital_call(120.0), 120.0, K2, "uniform", 10**5
+        pilot_states(100), digital_call(120.0), 120.0, K2, 10**5, theta=0.0
     )
     assert choice.theta_star == 0.0
-    assert choice.mode == "uniform"
     assert not choice.degenerate
     assert choice.h_star > 0.0
     assert pilot.E.shape == (3,)
@@ -266,7 +263,7 @@ def test_select_bandwidth_uniform_mode():
 
 def test_select_bandwidth_is_stable_across_pilots():
     hs = [
-        select_bandwidth(pilot_states(s), digital_call(120.0), 120.0, K2, "uniform", 10**5)[
+        select_bandwidth(pilot_states(s), digital_call(120.0), 120.0, K2, 10**5, theta=0.0)[
             1
         ].h_star
         for s in (100, 200)
@@ -279,7 +276,7 @@ def test_select_bandwidth_exponential_digital_degenerates():
     # fallback bandwidth is returned and flagged
     with pytest.warns(DegenerateBiasWarning):
         _, choice = select_bandwidth(
-            pilot_states(100), digital_call(120.0), 120.0, K2, "exponential", 10**6
+            pilot_states(100), digital_call(120.0), 120.0, K2, 10**6
         )
     assert choice.degenerate
     assert choice.h_star == pytest.approx(10.0 ** (-1.0), rel=1e-13)
@@ -287,7 +284,7 @@ def test_select_bandwidth_exponential_digital_degenerates():
 
 def test_select_bandwidth_fixed_theta():
     _, choice = select_bandwidth(
-        pilot_states(100), digital_call(120.0), 120.0, K2, "exponential", 10**5, theta=0.8
+        pilot_states(100), digital_call(120.0), 120.0, K2, 10**5, theta=0.8
     )
     assert choice.theta_star == 0.8
     assert not choice.degenerate
@@ -296,7 +293,7 @@ def test_select_bandwidth_fixed_theta():
 def test_select_bandwidth_with_true_law():
     law = lognormal_params(PAPER)
     pilot, _ = select_bandwidth(
-        pilot_states(100), digital_call(120.0), 120.0, K2, "uniform", 10**5, law=law
+        pilot_states(100), digital_call(120.0), 120.0, K2, 10**5, law=law, theta=0.0
     )
     n = pilot.pilot_N
     target = closed_form_digital_delta(PAPER, 120.0)
@@ -305,7 +302,7 @@ def test_select_bandwidth_with_true_law():
 
 def test_select_bandwidth_zero_payoff_raises():
     with pytest.raises(NonPositiveVariance):
-        select_bandwidth(pilot_states(100), digital_call(10**9), 120.0, K2, "uniform", 10**5)
+        select_bandwidth(pilot_states(100), digital_call(10**9), 120.0, K2, 10**5, theta=0.0)
 
 
 def test_pilot_estimates_validation():
@@ -316,8 +313,6 @@ def test_pilot_estimates_validation():
 
 
 def test_bandwidth_choice_is_frozen():
-    c = BandwidthChoice(
-        h_star=1.0, theta_star=0.0, predicted_mse=0.1, bias_constant=0.2, mode="uniform"
-    )
+    c = BandwidthChoice(h_star=1.0, theta_star=0.0, predicted_mse=0.1, bias_constant=0.2)
     with pytest.raises(AttributeError):
         c.h_star = 2.0

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from kernelgreeks import (
-    AsianConfig,
     ExperimentConfig,
     GbmParams,
     digital_call,
@@ -35,6 +34,7 @@ from kernelgreeks.export import (
     write_raw_csv,
     write_summary_csv,
 )
+from kernelgreeks.models import AsianConfig
 
 PAPER = GbmParams(spot=120.0, rate=0.0, vol=0.2, maturity=1.0)
 
@@ -499,6 +499,12 @@ def test_out_of_range_seed_is_a_usage_error():
         ["--estimator", "exponential", "--theta", "1e6", "--bandwidth", "8"],
         ["--estimator", "exponential", "--theta", "1e6", "--bandwidth", "8", "--antithetic"],
         ["--reps", str(2**32 + 1)],
+        # pilots whose moments overflow
+        ["--model.rate", "1000"],
+        ["--model.rate", "800"],
+        ["--model.spot", "1e-300", "--strike", "1e-300"],
+        ["--estimator", "double", "--model.rate", "1000"],
+        ["--payoff", "vanilla", "--model.spot", "1e300", "--strike", "1e300"],
     ],
 )
 def test_degenerate_inputs_end_in_one_error_line(argv):
@@ -514,3 +520,24 @@ def test_degenerate_inputs_end_in_one_error_line(argv):
     assert "Traceback" not in proc.stderr
     errors = [line for line in proc.stderr.splitlines() if "error: " in line]
     assert len(errors) == 1 and errors[0].startswith(("error: ", "kernelgreeks: error: "))
+
+
+def test_package_exports_what_the_docs_and_gate_use():
+    # the names the acceptance gate imports, the quick start's two helpers,
+    # the CLI's error contract and the version; the rest live in their modules
+    import kernelgreeks
+
+    gate = {
+        "EstimatorConfig", "ExperimentConfig", "FdConfig", "GbmParams", "SampleSet",
+        "bias_constant_Ce", "builtin_kernel", "closed_form_digital_delta", "convergence_rate_fit",
+        "digital_call", "estimate_Ek", "estimate_double_kernel", "estimate_finite_difference",
+        "estimate_single_kernel_check", "estimate_single_kernel_hat", "gauss_legendre_integral",
+        "identity_payoff", "kernel_moment", "kernel_roughness", "law_density",
+        "law_density_ratio", "lognormal_params", "optimize_theta", "run_replications",
+        "simulate_terminal", "truncexp_randomizer", "uniform_randomizer", "vanilla_call",
+    }
+    assert len(gate) == 28
+    want = gate | {"reference_value", "summarize", "KernelGreeksError", "__version__"}
+    assert len(kernelgreeks.__all__) == len(want)
+    assert set(kernelgreeks.__all__) == want
+    assert all(hasattr(kernelgreeks, name) for name in want)

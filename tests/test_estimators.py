@@ -9,30 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kernelgreeks import (
-    DegenerateBandwidth,
-    DegenerateBump,
-    DimensionMismatch,
-    EmptySample,
-    Estimate,
     EstimatorConfig,
     FdConfig,
     GbmParams,
-    InsufficientSamples,
-    MissingSecondKernel,
-    OutsideSupport,
-    RandomizerMismatch,
     SampleSet,
-    ScoreUnavailable,
     builtin_kernel,
     closed_form_digital_delta,
     digital_call,
     estimate_double_kernel,
-    estimate_exponential_opt,
     estimate_finite_difference,
-    estimate_oracle_score,
     estimate_single_kernel_check,
     estimate_single_kernel_hat,
-    estimate_uniform_opt,
     identity_payoff,
     law_density_ratio,
     lognormal_params,
@@ -41,10 +28,25 @@ from kernelgreeks import (
     uniform_randomizer,
     vanilla_call,
 )
+from kernelgreeks.errors import (
+    DegenerateBandwidth,
+    DegenerateBump,
+    DimensionMismatch,
+    EmptySample,
+    InsufficientSamples,
+    MissingSecondKernel,
+    OutsideSupport,
+    RandomizerMismatch,
+    ScoreUnavailable,
+)
 from kernelgreeks.estimators import (
+    Estimate,
     _double_kernel,
     _double_kernel_direct,
     _double_kernel_moments,
+    estimate_exponential_opt,
+    estimate_oracle_score,
+    estimate_uniform_opt,
 )
 
 K2 = builtin_kernel("p2")

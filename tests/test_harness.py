@@ -14,58 +14,73 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from kernelgreeks import (
-    AsianConfig,
     EstimatorConfig,
     ExperimentConfig,
     FdConfig,
-    DegenerateBandwidth,
     GbmParams,
+    SampleSet,
+    builtin_kernel,
+    closed_form_digital_delta,
+    convergence_rate_fit,
+    digital_call,
+    estimate_double_kernel,
+    estimate_finite_difference,
+    estimate_single_kernel_check,
+    estimate_single_kernel_hat,
+    identity_payoff,
+    reference_value,
+    run_replications,
+    simulate_terminal,
+    summarize,
+    truncexp_randomizer,
+    uniform_randomizer,
+    vanilla_call,
+)
+from kernelgreeks import harness, models
+from kernelgreeks.errors import (
+    DegenerateBandwidth,
+    DegenerateBump,
     InsufficientReplications,
-    Kernel,
     InsufficientSamples,
     NonFiniteEstimate,
     NonPositiveVariance,
     OutsideSupport,
     RandomizerMismatch,
-    SampleSet,
     ScoreUnavailable,
-    STREAM_REFERENCE,
+)
+from kernelgreeks.estimators import (
+    estimate_exponential_opt,
+    estimate_oracle_score,
+    estimate_uniform_opt,
+)
+from kernelgreeks.harness import (
+    PILOT_N,
+    CommonRun,
     asian_fd_reference,
-    builtin_kernel,
-    closed_form_digital_delta,
+    fit_loglog,
+    kde_grid,
+    kde_of_estimates,
+    resolve_run,
+    tune_fd_bump,
+)
+from kernelgreeks.kernels import Kernel
+from kernelgreeks.models import (
+    AsianConfig,
+    asian_unit_averages,
     closed_form_identity_delta,
     closed_form_vanilla_delta,
     constant_payoff,
-    convergence_rate_fit,
-    digital_call,
-    estimate_double_kernel,
-    estimate_exponential_opt,
-    estimate_finite_difference,
-    estimate_oracle_score,
-    estimate_single_kernel_check,
-    estimate_single_kernel_hat,
-    estimate_uniform_opt,
-    fit_loglog,
-    identity_payoff,
-    kde_grid,
-    kde_of_estimates,
-    reference_value,
-    resolve_run,
-    run_replications,
     simulate_asian,
-    simulate_terminal,
-    stream,
-    summarize,
-    truncexp_randomizer,
-    tune_fd_bump,
-    uniform_randomizer,
-    vanilla_call,
 )
-from kernelgreeks import harness, models
-from kernelgreeks.errors import DegenerateBump
-from kernelgreeks.harness import PILOT_N, CommonRun
-from kernelgreeks.models import asian_unit_averages
-from kernelgreeks.rng import PILOT_OFFSET, rekey, replication_ids, skip, sweep_base
+from kernelgreeks.rng import (
+    PILOT_OFFSET,
+    STREAM_REFERENCE,
+    rekey,
+    replication_ids,
+    skip,
+    stream,
+    sweep_base,
+)
 
 PAPER = GbmParams(spot=120.0, rate=0.0, vol=0.2, maturity=1.0)
 K2 = builtin_kernel("p2")
@@ -99,8 +114,6 @@ def test_config_validation():
         base_config(bandwidth="adaptive")
     with pytest.raises(ValueError):
         base_config(bandwidth=-2.0)
-    with pytest.raises(ValueError):
-        base_config(randomizer_kind="gauss")
     with pytest.raises(ValueError):
         base_config(estimator_id="fd", bandwidth=1.0, antithetic=True)
     with pytest.raises(ValueError):
@@ -144,12 +157,16 @@ def test_rekey_matches_a_fresh_stream():
 
 
 def test_effective_randomizer_kind():
+    # the tilted family exactly for exponential and whenever theta is given,
+    # 0.0 included; the uniform estimator keeps its own family
     assert base_config().effective_randomizer_kind == "uniform"
+    assert base_config(theta=0.0).effective_randomizer_kind == "uniform"
     assert base_config(estimator_id="exponential").effective_randomizer_kind == "truncexp"
-    assert (
-        base_config(estimator_id="hat", randomizer_kind="truncexp").effective_randomizer_kind
-        == "truncexp"
-    )
+    for eid in ("hat", "check", "double"):
+        assert base_config(estimator_id=eid).effective_randomizer_kind == "uniform"
+        for theta in (0.0, -0.0, 0.05):
+            kind = base_config(estimator_id=eid, theta=theta).effective_randomizer_kind
+            assert kind == "truncexp"
 
 
 # -- resolve_run ----------------------------------------------------------------
@@ -189,7 +206,7 @@ def test_resolve_run_auto_is_reproducible():
     b = resolve_run(cfg)
     assert a.h == b.h
     assert a.pilot.pilot_N == PILOT_N
-    assert a.choice.mode == "uniform"
+    assert a.choice.theta_star == 0.0
     assert a.randomizer.epsilon == a.h  # K2 support radius is 1
 
 
@@ -198,6 +215,16 @@ def test_resolve_run_auto_asian_pilot():
     plan = resolve_run(cfg)
     assert plan.h > 0.0
     assert plan.pilot is not None
+
+
+@pytest.mark.parametrize("eid", ["uniform", "double"])
+def test_resolve_run_rejects_a_degenerate_pilot_bandwidth(eid):
+    # the pilot of a model whose states overflow selects h = nan, on which
+    # no randomizer may be built
+    model = GbmParams(spot=120.0, rate=1000.0, vol=0.2, maturity=1.0)
+    cfg = base_config(estimator_id=eid, bandwidth="auto", model=model)
+    with np.errstate(all="ignore"), pytest.raises(DegenerateBandwidth):
+        resolve_run(cfg)
 
 
 # -- run_replications --------------------------------------------------------------
@@ -766,7 +793,7 @@ _BLOCK_CASES = [
 def test_blocks_match_lone_replications(monkeypatch, eid, antithetic, asian, n):
     extra = {"bandwidth": 1.0} if eid in ("lr", "fd") else {"bandwidth": 6.0}
     if eid in ("hat", "check"):
-        extra.update(randomizer_kind="truncexp", theta=0.05)
+        extra.update(theta=0.05)
     elif eid == "exponential":
         extra.update(theta=-0.05)
     cfg = base_config(estimator_id=eid, antithetic=antithetic, n_samples=n, replications=11,
@@ -956,7 +983,7 @@ def test_row_leaves_match_lone_replications(monkeypatch, eid, antithetic, asian,
     # leaves of at most 200 draws: every row is walked in two or more
     extra = {"bandwidth": 1.0} if eid in ("lr", "fd") else {"bandwidth": 6.0}
     if eid in ("hat", "check"):
-        extra.update(randomizer_kind="truncexp", theta=0.05)
+        extra.update(theta=0.05)
     elif eid == "exponential":
         extra.update(theta=-0.05)
     cfg = base_config(estimator_id=eid, antithetic=antithetic, n_samples=n, replications=3,
@@ -1065,7 +1092,7 @@ def _common_configs(n, asian, antithetic):
     cfgs = [base_config(estimator_id=eid, bandwidth=6.0, **common)
             for eid in ("hat", "check", "uniform")]
     cfgs.append(base_config(estimator_id="exponential", bandwidth=6.0, theta=-0.05, **common))
-    cfgs.append(base_config(estimator_id="hat", randomizer_kind="truncexp", theta=0.05,
+    cfgs.append(base_config(estimator_id="hat", theta=0.05,
                             bandwidth=6.0, **common))
     if not antithetic:
         if not asian:
@@ -1152,7 +1179,7 @@ def _shared_terms_configs(n, antithetic):
     common = dict(n_samples=n, replications=11, seed=717, antithetic=antithetic, bandwidth=6.0)
     cfgs = [base_config(estimator_id=eid, **common) for eid in ("hat", "check", "uniform")]
     cfgs.append(base_config(estimator_id="exponential", theta=0.05, **common))
-    cfgs.append(base_config(estimator_id="hat", randomizer_kind="truncexp", theta=0.05, **common))
+    cfgs.append(base_config(estimator_id="hat", theta=0.05, **common))
     cfgs.append(base_config(estimator_id="hat", kernel_family="p4", **common))
     return cfgs
 
@@ -1193,7 +1220,6 @@ def test_shared_group_evaluates_each_kernel_once_per_block(monkeypatch):
 def test_shared_group_keeps_each_members_error():
     cfgs = [base_config(estimator_id=eid, n_samples=50) for eid in ("hat", "uniform", "check")]
     plans = [resolve_run(cfg) for cfg in cfgs]
-    plans[1] = replace(plans[1], h=-1.0)
     # a fourth member whose kernel fails to evaluate has terms of its own
     class Broken(Kernel):
         def gradient(self, u):
@@ -1206,18 +1232,39 @@ def test_shared_group_keeps_each_members_error():
     spot = PAPER.spot
     lams = spot - plans[0].randomizer.sample_offsets(rng.random((2, 50)))
     unit = simulate_terminal(PAPER, rng.standard_normal((2, 50)), spot=1.0)
-    want = []
+    want, want_uniform = [], []
     for row in range(2):
         ss = SampleSet(spot, lams[row], unit[row] * lams[row], cfgs[0].payoff(unit[row] * lams[row]),
                        randomizer=plans[0].randomizer)
         ec = EstimatorConfig(kernel=plans[0].kernel, bandwidth=plans[0].h,
                              randomizer=plans[0].randomizer)
         want.append(estimate_single_kernel_hat(ss, ec).value)
+        want_uniform.append(estimate_uniform_opt(ss, plans[1].kernel, plans[1].h).value)
     hat, uniform, check, failed = harness._kernel_rows(list(zip(cfgs, plans)), lams, unit)
     # each member's row sums come with the function that finishes them
     assert [finish(total, 50).tolist() for finish, total in (hat, check)] == [want, want]
-    assert isinstance(uniform, DegenerateBandwidth)
+    assert uniform[0](uniform[1], 50).tolist() == want_uniform
     assert isinstance(failed, ZeroDivisionError)
+
+
+def test_each_formula_is_built_once_per_run(monkeypatch):
+    # five one-row blocks on two workers, each row of 1000 draws walked in
+    # eight leaves; the formulas are built and checked once, with the plans
+    monkeypatch.setattr(harness, "_BLOCK_ELEMENTS", 200)
+    built = []
+    formula = harness._formula
+
+    def counted(*args, **kwargs):
+        built.append(args[0])
+        return formula(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "_formula", counted)
+    cfgs = [base_config(estimator_id=eid, n_samples=1000, replications=5)
+            for eid in ("hat", "uniform", "exponential")]
+    common = CommonRun(cfgs, workers=2)
+    for cfg in cfgs:
+        assert np.all(np.isfinite(run_replications(cfg, common=common).estimates))
+    assert sorted(built) == ["exponential", "hat", "uniform"]
 
 
 def test_six_estimator_block_memory():

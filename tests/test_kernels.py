@@ -5,13 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kernelgreeks import (
-    Kernel,
-    builtin_kernel,
-    gauss_legendre_integral,
-    kernel_moment,
-    kernel_roughness,
-)
+from kernelgreeks import builtin_kernel, gauss_legendre_integral, kernel_moment, kernel_roughness
+from kernelgreeks.kernels import Kernel
 
 K2 = builtin_kernel("p2")
 K4 = builtin_kernel("p4")

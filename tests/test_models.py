@@ -9,29 +9,30 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from kernelgreeks import (
-    AsianConfig,
-    DimensionMismatch,
     GbmParams,
-    LognormalLaw,
-    NonPositiveState,
     closed_form_digital_delta,
-    closed_form_identity_delta,
-    closed_form_vanilla_delta,
-    constant_payoff,
     digital_call,
     identity_payoff,
     law_density,
     law_density_ratio,
-    law_standardized_d,
     lognormal_params,
-    score_coefficients,
-    simulate_asian,
     simulate_terminal,
-    stream,
     vanilla_call,
 )
 from kernelgreeks import models
-from kernelgreeks.models import asian_unit_averages
+from kernelgreeks.errors import DimensionMismatch, NonFiniteEstimate, NonPositiveState
+from kernelgreeks.models import (
+    AsianConfig,
+    LognormalLaw,
+    asian_unit_averages,
+    closed_form_identity_delta,
+    closed_form_vanilla_delta,
+    constant_payoff,
+    law_standardized_d,
+    score_coefficients,
+    simulate_asian,
+)
+from kernelgreeks.rng import stream
 
 PAPER = GbmParams(spot=120.0, rate=0.0, vol=0.2, maturity=1.0)
 
@@ -203,6 +204,9 @@ def test_density_ratio_values():
     assert law_density_ratio(law, 120.0, mode, 2) == pytest.approx(-25.0 / 120.0**2, rel=1e-12)
     # the first ratio is the score d(x, z) / x
     assert law_standardized_d(law, 120.0, 130.0) / 120.0 == law_density_ratio(law, 120.0, 130.0, 1)
+    # x**k out of range would read the ratio as 0
+    with pytest.raises(NonFiniteEstimate):
+        law_density_ratio(law, 1e300, 1e300, 2)
 
 
 def test_recursion_matches_finite_differences():
@@ -241,7 +245,7 @@ def test_payoffs():
     assert identity_payoff()(77.0) == 77.0
     assert constant_payoff(3.5)(np.array([1.0, 2.0])).tolist() == [3.5, 3.5]
     with pytest.raises(ValueError):
-        from kernelgreeks import Payoff
+        from kernelgreeks.models import Payoff
 
         Payoff(kind="lookback")
 

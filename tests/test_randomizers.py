@@ -6,12 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from kernelgreeks import (
-    OutsideSupport,
-    gauss_legendre_integral,
-    truncexp_randomizer,
-    uniform_randomizer,
-)
+from kernelgreeks import gauss_legendre_integral, truncexp_randomizer, uniform_randomizer
+from kernelgreeks.errors import OutsideSupport
 
 
 def test_constructor_validation():
@@ -20,11 +16,11 @@ def test_constructor_validation():
     with pytest.raises(ValueError):
         truncexp_randomizer(-1.0, 0.5)
     with pytest.raises(ValueError):
-        from kernelgreeks import Randomizer
+        from kernelgreeks.randomizers import Randomizer
 
         Randomizer(kind="gauss", epsilon=1.0)
     with pytest.raises(ValueError):
-        from kernelgreeks import Randomizer
+        from kernelgreeks.randomizers import Randomizer
 
         Randomizer(kind="uniform", epsilon=1.0, theta=0.3)
 
@@ -148,7 +144,7 @@ def test_draws_stay_inside_support(eps, theta, u, lambda0):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_parameters_are_rejected(bad):
-    from kernelgreeks import Randomizer
+    from kernelgreeks.randomizers import Randomizer
 
     for kind in ("uniform", "truncexp"):
         with pytest.raises(ValueError):
