@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DegenerateBandwidth,
     DegenerateBiasWarning,
     DegenerateVarianceWarning,
     InsufficientPilot,
@@ -88,12 +89,20 @@ def rule_of_thumb_moments(
     """Sample mean and unbiased variance of ln(Z_i / x).
 
     The default draw-count floor of 100 keeps pilot fits honest; tests of
-    the arithmetic may lower it. A zero spread is reported with
+    the arithmetic may lower it. Non-finite draws (an overflowing model)
+    raise DegenerateBandwidth before any logarithm is taken, as no
+    bandwidth can be fitted to them. A zero spread is reported with
     DegenerateVarianceWarning rather than an error so callers can decide.
     """
     z = np.asarray(terminal_draws, dtype=float)
     if z.size < min_draws:
         raise InsufficientPilot(f"need at least {min_draws} draws, got {z.size}")
+    bad = np.count_nonzero(~np.isfinite(z))
+    if bad:
+        raise DegenerateBandwidth(
+            f"{bad} of {z.size} pilot states are not finite (the model overflows), "
+            "so their log-moments cannot be fitted"
+        )
     if np.any(z <= 0.0) or x <= 0.0:
         raise NonPositiveState("log-moment fit needs positive draws and spot")
     logs = np.log(z / x)
@@ -280,6 +289,8 @@ def select_bandwidth(
     if second_moment <= 0.0:
         raise NonPositiveVariance("payoff is identically zero on the pilot draws")
     sigma_e = 2.0 * kernel.support_radius * second_moment * kernel.roughness()
+    if not (np.all(np.isfinite(E)) and math.isfinite(sigma_e)):
+        raise DegenerateBandwidth("pilot payoff moments are not finite (the payoff overflows)")
     pilot = PilotEstimates(
         E=E, sigma_e=sigma_e, m_hat=m_hat, Sigma_hat=Sigma_hat, pilot_N=states.size
     )

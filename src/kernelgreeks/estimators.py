@@ -76,6 +76,10 @@ DENSITY_FLOOR_SCALE = 1e-12
 #: their temporaries independently of N
 _PAIR_BUDGET = 2**18
 
+#: blocks of the double-kernel merge-sort tree below this size take their
+#: prefix sums one column at a time, which costs less than np.cumsum there
+_COLUMN_BLOCK = 32
+
 
 @dataclass(frozen=True)
 class SampleSet:
@@ -350,15 +354,25 @@ def estimate_double_kernel(samples: SampleSet, config: EstimatorConfig) -> Estim
     the score, and the usual localized average is returned. Draws whose
     density estimate falls below 1e-12 * h^-2 are dropped.
 
-    The window sums come from exact moment range sums in O(N log^2 N);
-    they agree up to roundoff with the direct pairwise sweep.
+    A draw adds phi(Z_i) s_i K((lambda0 - Lambda_i) / h), which is 0 when
+    its payoff or its weight is, so only the other draws ask for window
+    sums; every draw stays in the windows. The sums come from exact moment
+    range sums in O(N log^2 N); they agree up to roundoff with the direct
+    pairwise sweep.
     """
     return _double_kernel(samples, config, _double_kernel_moments)[0]
 
 
 def _double_kernel(samples: SampleSet, config: EstimatorConfig, pair_sums) -> tuple[Estimate, int]:
-    """The double-kernel estimate and the number of draws dropped under the
-    density floor, with the window sums taken by ``pair_sums``."""
+    """The double-kernel estimate and the number of dropped draws, with the
+    window sums taken by ``pair_sums``.
+
+    The dropped draws are those whose parameter or state is not finite,
+    plus the contributing draws (phi(Z_i) and K((lambda0 - Lambda_i) / h)
+    both non-zero, or phi(Z_i) not finite) whose density estimate falls
+    under the floor. A draw that does not contribute is not counted,
+    whatever its density.
+    """
     _require_draws(samples)
     if samples.n < 2:
         raise InsufficientSamples("leave-one-out estimation needs at least two draws")
@@ -373,42 +387,53 @@ def _double_kernel(samples: SampleSet, config: EstimatorConfig, pair_sums) -> tu
     lam = samples.lambdas[order]
     z = samples.states[order]
     phi = samples.payoffs[order]
+    offsets = samples.lambda0 - lam
+    grad_log = r.grad_log_density(offsets)  # raises unless every offset is in the support
+    weights = kernel(offsets / h)
     # a draw with a non-finite parameter or state is in no kernel window,
-    # not even its own, and is dropped
+    # not even its own, and is dropped; of the others, only those whose term
+    # phi * score * K need not be 0 (phi and K non-zero, or phi not finite)
+    # ask for their window sums
     finite = np.isfinite(lam) & np.isfinite(z)
-    den, num = np.zeros(n), np.zeros(n)
-    den[finite], num[finite] = pair_sums(lam[finite], z[finite], h, kernel, second)
+    if not finite.any():
+        raise NonFiniteEstimate("double: no draw has a finite parameter and state")
+    asked = finite & (((phi != 0.0) & (weights != 0.0)) | ~np.isfinite(phi))
+    den, num = pair_sums(lam[finite], z[finite], h, kernel, second, np.flatnonzero(asked[finite]))
 
     # remove the self pair, then apply the leave-one-out scalings
     den = (den - kernel(0.0) * second(0.0)) / ((n - 1) * h * h)
     num = (num - kernel.gradient(0.0) * second(0.0)) / ((n - 1) * h**3)
 
-    keep = finite & (den >= DENSITY_FLOOR_SCALE / (h * h))
-    score_hat = np.zeros(n)
-    np.divide(num, den, out=score_hat, where=keep)
-    score_hat += r.grad_log_density(samples.lambda0 - lam)
-    weights = kernel((samples.lambda0 - lam) / h)
-    total = float(np.sum(np.where(keep, phi * score_hat * weights, 0.0)))
-    value = total / (r.density_at_zero() * n * h)
-    return Estimate(float(_finite(value, "double")), n, "double"), int(n - np.count_nonzero(keep))
+    keep = den >= DENSITY_FLOOR_SCALE / (h * h)
+    kept = np.flatnonzero(asked)[keep]
+    score_hat = num[keep] / den[keep] + grad_log[kept]
+    # every term at its draw's place, so the sum adds them in the order of
+    # a sum over all draws
+    terms = np.zeros(n)
+    terms[kept] = phi[kept] * score_hat * weights[kept]
+    value = float(np.sum(terms)) / (r.density_at_zero() * n * h)
+    dropped = n - np.count_nonzero(finite) + den.size - kept.size
+    return Estimate(float(_finite(value, "double")), n, "double"), int(dropped)
 
 
-def _window_bounds(x: np.ndarray, h: float, radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """For sorted x, the index range [lo, hi) of the j with
-    |fl((x_i - x_j) / h)| <= radius, the test a kernel applies to its
-    argument. The quotient is monotone in x_j, so the range is contiguous.
+def _window_bounds(x: np.ndarray, h: float, radius: float, at: np.ndarray) -> tuple:
+    """For sorted x and each index i in ``at``, the index range [lo, hi) of
+    the j with |fl((x_i - x_j) / h)| <= radius, the test a kernel applies to
+    its argument. The quotient is monotone in x_j, so the range is
+    contiguous.
     A searchsorted on the rounded x_i -/+ radius * h can miss it by a value
     either way, so each bound is then moved one distinct value at a time
     until it agrees with the test.
     """
     n = x.size
+    centre = x[at]
 
     def inside(j):
         valid = (j >= 0) & (j < n)
-        return valid & (np.abs((x - x[np.clip(j, 0, n - 1)]) / h) <= radius)
+        return valid & (np.abs((centre - x[np.clip(j, 0, n - 1)]) / h) <= radius)
 
-    lo = np.searchsorted(x, x - radius * h, side="left")
-    hi = np.searchsorted(x, x + radius * h, side="right")
+    lo = np.searchsorted(x, centre - radius * h, side="left")
+    hi = np.searchsorted(x, centre + radius * h, side="right")
     while True:
         grow_lo, shrink_lo = inside(lo - 1), ~inside(lo)
         grow_hi, shrink_hi = inside(hi), ~inside(hi - 1)
@@ -420,23 +445,24 @@ def _window_bounds(x: np.ndarray, h: float, radius: float) -> tuple[np.ndarray, 
         hi = np.where(shrink_hi, np.searchsorted(x, x[np.maximum(hi - 1, 0)], side="left"), hi)
 
 
-def _double_kernel_direct(lam, z, h, kernel, second) -> tuple[np.ndarray, np.ndarray]:
-    """Sums of K(du) H(dz) and K'(du) H(dz) over each draw's state window,
-    self pair included, by direct evaluation of every pair; z is sorted.
-    The reference that :func:`_double_kernel_moments` is tested against."""
-    n = z.size
-    lo, hi = _window_bounds(z, h, second.support_radius)
-    den = np.empty(n)
-    num = np.empty(n)
+def _double_kernel_direct(lam, z, h, kernel, second, queries=None) -> tuple:
+    """Sums of K(du) H(dz) and K'(du) H(dz) over the state window of each
+    draw in ``queries`` (ascending indices; all draws when None), self
+    pair included, by direct evaluation of every pair; z is sorted. The
+    reference that :func:`_double_kernel_moments` is tested against."""
+    rows = np.arange(z.size) if queries is None else queries
+    lo, hi = _window_bounds(z, h, second.support_radius, rows)
+    den = np.empty(rows.size)
+    num = np.empty(rows.size)
     a = 0
-    while a < n:
+    while a < rows.size:
         # rows a..b-1 span columns lo[a]..hi[b-1]; keep rows * columns in budget
-        cap = min(n - a, max(1, _PAIR_BUDGET // int(hi[a] - lo[a])))
+        cap = min(rows.size - a, max(1, _PAIR_BUDGET // int(hi[a] - lo[a])))
         cells = np.arange(1, cap + 1) * (hi[a : a + cap] - lo[a])
         b = a + max(1, int(np.searchsorted(cells, _PAIR_BUDGET, side="right")))
-        ja, jb = lo[a], hi[b - 1]
-        du = (lam[a:b, None] - lam[None, ja:jb]) / h
-        hz = second((z[a:b, None] - z[None, ja:jb]) / h)
+        i, ja, jb = rows[a:b], lo[a], hi[b - 1]
+        du = (lam[i, None] - lam[None, ja:jb]) / h
+        hz = second((z[i, None] - z[None, ja:jb]) / h)
         den[a:b] = np.sum(kernel(du) * hz, axis=1)
         num[a:b] = np.sum(kernel.gradient(du) * hz, axis=1)
         a = b
@@ -453,8 +479,9 @@ def _shift_matrix(coeffs: np.ndarray, degree: int) -> np.ndarray:
     return shift
 
 
-def _double_kernel_moments(lam, z, h, kernel, second) -> tuple[np.ndarray, np.ndarray]:
-    """The sums of :func:`_double_kernel_direct` from polynomial moments.
+def _double_kernel_moments(lam, z, h, kernel, second, queries=None) -> tuple:
+    """The sums of :func:`_double_kernel_direct` from polynomial moments,
+    for the draws ``queries`` (all draws when None) over all the draws.
 
     Inside both windows K(du) H(dz) is a polynomial in the two points, so a
     draw's sum is a sum of monomials over the box of draws inside both
@@ -464,7 +491,11 @@ def _double_kernel_moments(lam, z, h, kernel, second) -> tuple[np.ndarray, np.nd
     layout. A merge-sort tree over the layout splits the range into at most
     two blocks per level. Inside a block the draws are ordered by lambda
     and carry prefix sums of the monomials, so the box is the difference of
-    two prefixes.
+    two prefixes. Each level builds only the blocks that some query takes.
+
+    The tree depends on the draws alone, and a query's pieces at one level
+    are added by one bincount in a fixed order, so its sums have the same
+    bits whichever other draws are queried.
 
     The monomials are taken about the block's own centre in both
     coordinates, in units of h, so every draw and query sits within 2 M of
@@ -472,6 +503,7 @@ def _double_kernel_moments(lam, z, h, kernel, second) -> tuple[np.ndarray, np.nd
     binomial expansion of the order-6 kernel would cancel several digits.
     """
     n = z.size
+    asked = np.arange(n) if queries is None else queries
     dk, dh = len(kernel.coeffs) - 1, len(second.coeffs) - 1
     width = (dk + 1) * (dh + 1)
     shift_k = _shift_matrix(kernel.coeffs, dk).T
@@ -489,9 +521,8 @@ def _double_kernel_moments(lam, z, h, kernel, second) -> tuple[np.ndarray, np.nd
     by_lam = np.argsort(lam, kind="stable")
     lam_rank = np.empty(n, dtype=np.int64)
     lam_rank[by_lam] = np.arange(n)
-    lam_lo, lam_hi = _window_bounds(lam[by_lam], h, kernel.support_radius)
-    rank_lo, rank_hi = lam_lo[lam_rank], lam_hi[lam_rank]
-    z_lo, z_hi = _window_bounds(z, h, second.support_radius)
+    rank_lo, rank_hi = _window_bounds(lam[by_lam], h, kernel.support_radius, lam_rank[asked])
+    z_lo, z_hi = _window_bounds(z, h, second.support_radius, asked)
 
     # slab numbers are monotone in lambda, so a window's slabs run from the
     # slab of its lowest-ranked member to that of its highest
@@ -502,13 +533,13 @@ def _double_kernel_moments(lam, z, h, kernel, second) -> tuple[np.ndarray, np.nd
     slab_sorted = slab[by_lam]
     first_slab = slab_sorted[rank_lo]
     span = slab_sorted[rank_hi - 1] - first_slab + 1
-    # one piece per (draw, slab its lambda window meets)
-    query = np.repeat(np.arange(n), span)
+    # one piece per (query, slab its lambda window meets)
+    query = np.repeat(np.arange(asked.size), span)
     piece_slab = first_slab[query] + np.arange(query.size) - np.repeat(np.cumsum(span) - span, span)
     left = np.searchsorted(layout, piece_slab * n + z_lo[query])
     right = np.searchsorted(layout, piece_slab * n + z_hi[query])
 
-    den, num = np.zeros(n), np.zeros(n)
+    den, num = np.zeros(asked.size), np.zeros(asked.size)
     rows = max(1, _PAIR_BUDGET // width)
     level = 0
     while np.any(left < right):
@@ -520,31 +551,49 @@ def _double_kernel_moments(lam, z, h, kernel, second) -> tuple[np.ndarray, np.nd
         taken = np.concatenate([take_left, take_right])
         node = np.concatenate([left[take_left], right[take_right] - 1])
         size = 1 << level
-        blocks = np.arange(n) >> level
+        # only the blocks that some piece takes are built, and node becomes
+        # a block's place u among them; block u holds layout positions
+        # start[u] .. start[u] + count[u] - 1, fewer than size only at the
+        # end of the layout
+        built, node = np.unique(node, return_inverse=True)
+        start = built * size
+        count = np.minimum(start + size, n) - start
+        first = np.arange(built.size) * size
+        blocks = np.repeat(np.arange(built.size), count)
+        position = np.arange(blocks.size) + np.repeat(start - first, count)
         # key encodes (block, lambda rank): the draws of each block in lambda order
-        key = np.sort(blocks * n + lam_rank[draw_at])
+        key = np.sort(blocks * n + lam_rank[draw_at[position]])
         members = by_lam[key % n]
-        first = np.arange(0, n, size)
-        last = np.minimum(first + size, n) - 1
+        last = first + count - 1
         lam_c = 0.5 * (lam[members[first]] + lam[members[last]])
-        z_c = 0.5 * (z[draw_at[first]] + z[draw_at[last]])
-        # exclusive prefix sums per block: block k owns rows k*(size+1) onward
-        prefix = np.zeros((first.size, size + 1, width))
+        z_c = 0.5 * (z[draw_at[start]] + z[draw_at[start + count - 1]])
+        # exclusive prefix sums per block: block u owns rows u*(size+1) onward
+        prefix = np.zeros((built.size, size + 1, width))
         flat = prefix.reshape(-1, width)
-        for a in range(0, n, rows):
+        for a in range(0, blocks.size, rows):
             m, b = members[a : a + rows], blocks[a : a + rows]
             mono = powers(lam[m] - lam_c[b], dk)[:, :, None] * powers(z[m] - z_c[b], dh)[:, None, :]
             flat[np.arange(a, a + m.size) + b + 1] = mono.reshape(-1, width)
-        np.cumsum(prefix, axis=1, out=prefix)
+        if size < _COLUMN_BLOCK:
+            # the additions of np.cumsum, without its cost per tiny block
+            for t in range(size):
+                prefix[:, t + 1] += prefix[:, t]
+        else:
+            np.cumsum(prefix, axis=1, out=prefix)
+        piece_den, piece_num = np.empty(taken.size), np.empty(taken.size)
         for a in range(0, taken.size, rows):
-            q, k = query[taken[a : a + rows]], node[a : a + rows]
-            lo_rows = np.searchsorted(key, k * n + rank_lo[q]) + k
-            hi_rows = np.searchsorted(key, k * n + rank_hi[q]) + k
+            i, k = query[taken[a : a + rows]], node[a : a + rows]
+            q = asked[i]
+            lo_rows = np.searchsorted(key, k * n + rank_lo[i]) + k
+            hi_rows = np.searchsorted(key, k * n + rank_hi[i]) + k
             box = (flat[hi_rows] - flat[lo_rows]).reshape(-1, dk + 1, dh + 1)
             inner = np.einsum("isr,ir->is", box, powers(z[q] - z_c[k], dh) @ shift_h)
             lam_pow = powers(lam[q] - lam_c[k], dk)
-            den += np.bincount(q, np.einsum("is,is->i", lam_pow @ shift_k, inner), n)
-            num += np.bincount(q, np.einsum("is,is->i", lam_pow @ shift_grad, inner), n)
+            piece_den[a : a + rows] = np.einsum("is,is->i", lam_pow @ shift_k, inner)
+            piece_num[a : a + rows] = np.einsum("is,is->i", lam_pow @ shift_grad, inner)
+        # one bincount per level, so a query's pieces are added in one order
+        den += np.bincount(query[taken], piece_den, asked.size)
+        num += np.bincount(query[taken], piece_num, asked.size)
         left[take_left] += 1
         right[take_right] -= 1
         left >>= 1

@@ -334,6 +334,15 @@ def constant_payoff(c: float) -> Payoff:
 # -- closed-form references --------------------------------------------------
 
 
+def _growth(g: GbmParams, sign: float) -> float:
+    """exp(sign r T); raises NonFiniteEstimate where it overflows."""
+    try:
+        return math.exp(sign * g.rate * g.maturity)
+    except OverflowError:
+        raise NonFiniteEstimate(f"the closed-form Delta needs exp({sign * g.rate * g.maturity!r}), "
+                                "which overflows") from None
+
+
 def _d2(g: GbmParams, strike: float) -> float:
     return (math.log(g.spot / strike) + (g.rate - 0.5 * g.vol**2) * g.maturity) / (
         g.vol * math.sqrt(g.maturity)
@@ -346,7 +355,7 @@ def closed_form_digital_delta(g: GbmParams, strike: float) -> float:
         raise NonPositiveState("strike must be positive")
     d2 = _d2(g, strike)
     pdf = math.exp(-0.5 * d2 * d2) / _SQRT_2PI
-    return math.exp(-g.rate * g.maturity) * pdf / (g.spot * g.vol * math.sqrt(g.maturity))
+    return _growth(g, -1.0) * pdf / (g.spot * g.vol * math.sqrt(g.maturity))
 
 
 def closed_form_vanilla_delta(g: GbmParams, strike: float) -> float:
@@ -359,4 +368,4 @@ def closed_form_vanilla_delta(g: GbmParams, strike: float) -> float:
 
 def closed_form_identity_delta(g: GbmParams) -> float:
     """Sensitivity of E[Z] to the spot: exp(rT), equal to 1 at zero rate."""
-    return math.exp(g.rate * g.maturity)
+    return _growth(g, 1.0)

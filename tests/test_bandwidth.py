@@ -19,6 +19,7 @@ from kernelgreeks import (
     lognormal_params,
     optimize_theta,
     simulate_terminal,
+    vanilla_call,
 )
 from kernelgreeks.bandwidth import (
     BandwidthChoice,
@@ -29,6 +30,7 @@ from kernelgreeks.bandwidth import (
     select_bandwidth,
 )
 from kernelgreeks.errors import (
+    DegenerateBandwidth,
     DegenerateBiasWarning,
     DegenerateVarianceWarning,
     InsufficientPilot,
@@ -298,6 +300,16 @@ def test_select_bandwidth_with_true_law():
     n = pilot.pilot_N
     target = closed_form_digital_delta(PAPER, 120.0)
     assert abs(pilot.E[0] - target) <= 6.0 * target / math.sqrt(n) * 10
+
+
+def test_pilot_rejects_what_overflows():
+    # states that overflowed, and a payoff whose square overflows, leave
+    # no bandwidth to fit
+    with pytest.raises(DegenerateBandwidth, match="2 of 3 pilot states"):
+        rule_of_thumb_moments(np.array([1.0, np.inf, np.nan]), 1.0, min_draws=2)
+    huge = pilot_states(100) * 1e158
+    with pytest.raises(DegenerateBandwidth, match="payoff moments"), np.errstate(over="ignore"):
+        select_bandwidth(huge, vanilla_call(120.0), 120.0, K2, 10**5, theta=0.0)
 
 
 def test_select_bandwidth_zero_payoff_raises():

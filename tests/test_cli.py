@@ -1,14 +1,20 @@
 """Command-line front end and the flat-file export layer behind it."""
 
+import contextlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kernelgreeks import (
     ExperimentConfig,
@@ -520,6 +526,54 @@ def test_degenerate_inputs_end_in_one_error_line(argv):
     assert "Traceback" not in proc.stderr
     errors = [line for line in proc.stderr.splitlines() if "error: " in line]
     assert len(errors) == 1 and errors[0].startswith(("error: ", "kernelgreeks: error: "))
+
+
+def test_overflowing_pilot_names_its_states(capsys):
+    # at rate 800 every pilot state overflows to inf; the pilot stops at its
+    # states, not later at the bandwidth its NaN moments would give
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli("estimate", "--model.rate", "800", "--n", "100", "--reps", "2")
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: 10000 of 10000 pilot states are not finite (the model overflows), "
+                   "so their log-moments cannot be fitted"]
+    assert not [w for w in caught if "invalid value" in str(w.message)]
+
+
+_RATES = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([-1000.0, -800.0, 700.0, 800.0, 1000.0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kernel=st.sampled_from(["p2", "p4", "p6"]),
+    payoff=st.sampled_from(["digital", "vanilla", "identity"]),
+    strike=st.floats(1.0, 400.0),
+    vol=st.floats(0.01, 3.0),
+    rate=_RATES,
+    n=st.integers(2, 400),
+    bandwidth=st.sampled_from(["auto", "2", "8"]),
+)
+def test_double_estimate_ends_in_a_finite_value_or_one_error_line(kernel, payoff, strike, vol,
+                                                                    rate, n, bandwidth):
+    # the CLI's contract: exit 0 with finite numbers, or exit 2 with one
+    # error line; an uncaught exception fails the test with its traceback.
+    # Flags are written flag=value, so that a negative value reads as one.
+    argv = ["estimate", "--estimator=double", f"--kernel={kernel}", f"--payoff={payoff}",
+            f"--strike={strike!r}", f"--model.vol={vol!r}", f"--model.rate={rate!r}",
+            f"--bandwidth={bandwidth}", f"--n={n}", "--reps=2"]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("ignore")
+        code = main(argv)
+    if code == 0:
+        printed = re.findall(r"[-+]?(?:\d[\d.e+-]*|nan|inf)", out.getvalue())
+        assert printed and all(math.isfinite(float(v)) for v in printed), out.getvalue()
+    else:
+        assert code == 2
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
 def test_package_exports_what_the_docs_and_gate_use():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from kernelgreeks import (
     EstimatorConfig,
+    ExperimentConfig,
     FdConfig,
     GbmParams,
     SampleSet,
@@ -23,6 +24,7 @@ from kernelgreeks import (
     identity_payoff,
     law_density_ratio,
     lognormal_params,
+    run_replications,
     simulate_terminal,
     truncexp_randomizer,
     uniform_randomizer,
@@ -35,6 +37,7 @@ from kernelgreeks.errors import (
     EmptySample,
     InsufficientSamples,
     MissingSecondKernel,
+    NonFiniteEstimate,
     OutsideSupport,
     RandomizerMismatch,
     ScoreUnavailable,
@@ -48,6 +51,7 @@ from kernelgreeks.estimators import (
     estimate_oracle_score,
     estimate_uniform_opt,
 )
+from kernelgreeks.models import constant_payoff
 
 K2 = builtin_kernel("p2")
 PAPER = GbmParams(spot=120.0, rate=0.0, vol=0.2, maturity=1.0)
@@ -386,6 +390,128 @@ def test_double_kernel_drops_non_finite_draws():
     assert math.isfinite(direct.value)
     assert moments.value == pytest.approx(direct.value, rel=1e-12)
     assert dropped_moments == dropped_direct >= 2
+
+
+#: estimates of `double` runs at N = 4000, R = 2, h = 10, seed 7, taken
+#: before the window sums were restricted to the contributing draws
+_DOUBLE_BITS = {
+    ("p2", "digital", False): ("0x1.eb384fbc4df35p-7", "0x1.b14f401cca656p-7"),
+    ("p2", "digital", True): ("0x1.fac4b3f2300ebp-7", "0x1.0cb2ce35b1018p-6"),
+    ("p2", "vanilla", False): ("0x1.041653a1f3858p-1", "0x1.a75d60b38553ap-2"),
+    ("p2", "vanilla", True): ("0x1.08490299fe36fp-1", "0x1.2897e3fd086a6p-1"),
+    ("p2", "identity", False): ("0x1.c16e220d02164p-1", "0x1.aab6a93cc2221p-2"),
+    ("p2", "identity", True): ("0x1.eb30ebfd054a4p-1", "0x1.154b9836210a2p+0"),
+    ("p2", "zero", False): ("0x0.0p+0", "0x0.0p+0"),
+    ("p2", "zero", True): ("0x0.0p+0", "0x0.0p+0"),
+    ("p2", "two", False): ("-0x1.ffe3261abbe77p-11", "-0x1.df072e18577f8p-8"),
+    ("p2", "two", True): ("0x1.9ca77b403b344p-11", "0x1.5f648f3ec7b5cp-10"),
+    ("p4", "digital", False): ("0x1.72151dd6492a7p-6", "0x1.cc370afeae23bp-7"),
+    ("p4", "digital", True): ("0x1.1cf68177d1a7cp-6", "0x1.bc31668164e89p-7"),
+    ("p4", "vanilla", False): ("0x1.1d785b93198a0p+0", "0x1.a3219cc9384e6p-2"),
+    ("p4", "vanilla", True): ("0x1.1320e96a3865cp-1", "0x1.2cde02d13c824p-2"),
+    ("p4", "identity", False): ("0x1.e9ac0c339a837p+0", "0x1.1f42ea518d598p-1"),
+    ("p4", "identity", True): ("0x1.65c422a97d03dp+0", "0x1.6dd1d942b4680p-2"),
+    ("p4", "zero", False): ("0x0.0p+0", "0x0.0p+0"),
+    ("p4", "zero", True): ("0x0.0p+0", "0x0.0p+0"),
+    ("p4", "two", False): ("0x1.5fec33d5d6aa0p-9", "-0x1.b78664b951dd7p-8"),
+    ("p4", "two", True): ("0x1.99e532b96e234p-7", "-0x1.e5bdedc95e276p-8"),
+    ("p6", "digital", False): ("0x1.e78ddc65c0219p-7", "0x1.0e989c7f8c0dap-5"),
+    ("p6", "digital", True): ("0x1.76f6757034daap-7", "0x1.fe0846f62a3ccp-7"),
+    ("p6", "vanilla", False): ("0x1.1a7472c6e1637p-1", "0x1.0e9361eaecceap+1"),
+    ("p6", "vanilla", True): ("0x1.1de493ce57327p-2", "0x1.1e059dd1144cdp-1"),
+    ("p6", "identity", False): ("-0x1.4d6b60475a581p-3", "0x1.0a8a1699e2a70p+2"),
+    ("p6", "identity", True): ("-0x1.beed46a2cb247p+0", "0x1.019096af46072p+0"),
+    ("p6", "zero", False): ("0x0.0p+0", "0x0.0p+0"),
+    ("p6", "zero", True): ("0x0.0p+0", "0x0.0p+0"),
+    ("p6", "two", False): ("-0x1.5d4ddfd36c820p-6", "0x1.771276aa0fe62p-6"),
+    ("p6", "two", True): ("-0x1.caa7fa9cdccaep-5", "0x1.1661182073480p-10"),
+}
+
+
+@pytest.mark.parametrize("family", ["p2", "p4", "p6"])
+def test_double_kernel_estimates_keep_their_bits(family):
+    # at N = 4000 every level's pieces of p2 fitted in one chunk of the
+    # earlier code, so its bits hold; p4 and p6 were split into chunks whose
+    # boundaries moved, which may move them by roundoff
+    payoffs = {"digital": digital_call(120.0), "vanilla": vanilla_call(120.0),
+               "identity": identity_payoff(), "zero": constant_payoff(0.0),
+               "two": constant_payoff(2.0)}
+    for (kernel, name, antithetic), want in _DOUBLE_BITS.items():
+        if kernel != family:
+            continue
+        cfg = ExperimentConfig(model=PAPER, payoff=payoffs[name], estimator_id="double",
+                               kernel_family=kernel, bandwidth=10.0, n_samples=4000,
+                               replications=2, seed=7, antithetic=antithetic)
+        got = run_replications(cfg, workers=1).estimates
+        want = np.array([float.fromhex(v) for v in want])
+        if kernel == "p2":
+            assert [v.hex() for v in got] == [v.hex() for v in want]
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def _with_far_draw(rng, payoff, offset):
+    """300 digital-call draws plus one whose state is far outside every
+    other draw's state window, at lambda0 - offset, with the payoff given."""
+    s = make_samples(rng, 300)
+    return SampleSet(s.lambda0, np.append(s.lambdas, s.lambda0 - offset),
+                     np.append(s.states, 1e4), np.append(s.payoffs, payoff),
+                     randomizer=s.randomizer)
+
+
+def test_double_kernel_counts_only_contributing_draws_as_dropped():
+    # the far draw's density estimate is 0; it is counted only when its
+    # payoff and its weight K(offset / h) are both non-zero
+    cfg = EstimatorConfig(kernel=K2, bandwidth=4.0, second_kernel=K2)
+    cases = {"zero payoff": (0.0, 1.0), "zero weight": (1.0, 6.0), "contributes": (1.0, 1.0)}
+    runs = {
+        (case, pair_sums): _double_kernel(_with_far_draw(np.random.default_rng(26), *args),
+                                          cfg, pair_sums)
+        for case, args in cases.items()
+        for pair_sums in (_double_kernel_direct, _double_kernel_moments)
+    }
+    for pair_sums in (_double_kernel_direct, _double_kernel_moments):
+        base = runs["zero payoff", pair_sums]
+        assert runs["zero weight", pair_sums][1] == base[1]
+        assert runs["contributes", pair_sums][1] == base[1] + 1
+        # the dropped draw adds nothing
+        assert runs["zero weight", pair_sums][0].value == base[0].value
+        assert runs["contributes", pair_sums][0].value == base[0].value
+    for case in cases:
+        direct, moments = runs[case, _double_kernel_direct], runs[case, _double_kernel_moments]
+        assert moments[1] == direct[1]
+        assert moments[0].value == pytest.approx(direct[0].value, rel=1e-12)
+
+
+def test_double_kernel_non_finite_payoff_keeps_its_outcome():
+    rng = np.random.default_rng(27)
+    cfg = EstimatorConfig(kernel=K2, bandwidth=4.0, second_kernel=K2)
+    s = make_samples(rng, 300)
+    for pair_sums in (_double_kernel_direct, _double_kernel_moments):
+        # a draw under the density floor adds 0, whatever its payoff
+        far = _with_far_draw(np.random.default_rng(26), np.inf, 1.0)
+        quiet = _with_far_draw(np.random.default_rng(26), 0.0, 1.0)
+        value, dropped = _double_kernel(far, cfg, pair_sums)
+        assert value.value == _double_kernel(quiet, cfg, pair_sums)[0].value
+        assert dropped == _double_kernel(quiet, cfg, pair_sums)[1] + 1
+        # a kept draw with a NaN payoff, or an infinite one at zero weight,
+        # makes the sum NaN
+        for i, payoff, offset in ((0, np.nan, None), (1, np.inf, 6.0)):
+            lam, phi = s.lambdas.copy(), s.payoffs.copy()
+            phi[i] = payoff
+            if offset is not None:
+                lam[i] = s.lambda0 - offset
+            bad = SampleSet(s.lambda0, lam, s.states, phi, randomizer=s.randomizer)
+            with pytest.raises(NonFiniteEstimate), np.errstate(invalid="ignore"):
+                _double_kernel(bad, cfg, pair_sums)
+
+
+def test_double_kernel_rejects_draws_that_are_all_non_finite():
+    r = uniform_randomizer(8.0)
+    s = SampleSet(120.0, [119.0, 121.0], [np.inf, np.nan], [1.0, 1.0], randomizer=r)
+    cfg = EstimatorConfig(kernel=K2, bandwidth=4.0, second_kernel=K2)
+    with pytest.raises(NonFiniteEstimate):
+        estimate_double_kernel(s, cfg)
 
 
 def test_double_kernel_direct_sweep_memory_is_bounded():

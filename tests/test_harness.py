@@ -219,8 +219,8 @@ def test_resolve_run_auto_asian_pilot():
 
 @pytest.mark.parametrize("eid", ["uniform", "double"])
 def test_resolve_run_rejects_a_degenerate_pilot_bandwidth(eid):
-    # the pilot of a model whose states overflow selects h = nan, on which
-    # no randomizer may be built
+    # the pilot of a model whose states overflow has no bandwidth, and no
+    # randomizer may be built
     model = GbmParams(spot=120.0, rate=1000.0, vol=0.2, maturity=1.0)
     cfg = base_config(estimator_id=eid, bandwidth="auto", model=model)
     with np.errstate(all="ignore"), pytest.raises(DegenerateBandwidth):

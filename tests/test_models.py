@@ -276,6 +276,16 @@ def test_closed_form_limits():
         closed_form_digital_delta(PAPER, 0.0)
 
 
+def test_closed_form_deltas_reject_an_overflowing_growth_factor():
+    # exp(-rT) of the digital and exp(rT) of the identity leave the float range
+    for g, delta in ((GbmParams(spot=120.0, rate=-1000.0, vol=0.2, maturity=1.0),
+                      lambda g: closed_form_digital_delta(g, 120.0)),
+                     (GbmParams(spot=120.0, rate=1000.0, vol=0.2, maturity=1.0),
+                      closed_form_identity_delta)):
+        with pytest.raises(NonFiniteEstimate):
+            delta(g)
+
+
 def test_closed_form_delta_is_density_integral():
     # digital delta = d/dx P(Z > K) = integral of df/dx over (K, inf)
     z = np.linspace(120.0, 1200.0, 400_001)
