@@ -29,8 +29,9 @@ class KernelGreeksError(Exception):
     """Base class for all package-specific errors."""
 
 
-class OutsideSupport(KernelGreeksError):
-    """Randomizer offset lies outside [-epsilon, epsilon]."""
+class OutsideSupport(KernelGreeksError, ValueError):
+    """Randomizer offset lies outside [-epsilon, epsilon], or a uniform
+    outside [0, 1)."""
 
 
 class NonPositiveState(KernelGreeksError):

@@ -14,7 +14,9 @@ Estimator menu
   :func:`_formula`. hat and check read theta from the randomizer, whose
   log-density gradient is constant on the support for both families, so
   the two agree bit for bit; uniform and exponential couple the support
-  to the kernel window, epsilon = M h, and uniform is theta = 0.
+  to the kernel window, epsilon = M h, and uniform is theta = 0. A
+  formula depends only on the randomizer and h, so at the uniform
+  randomizer hat, check and uniform are one formula, which reads no K(u).
 - ``estimate_double_kernel``: plugs a leave-one-out kernel estimate of
   the score into the localized regression; needs a second kernel acting
   in the state dimension.
@@ -198,51 +200,50 @@ class _KernelSum:
     """A single-kernel formula whose checks have passed (:func:`_formula`):
     with u = offsets / h and the draws along the last axis, the rows
 
-        sum(phi * (K(u) * tilt[0] * tilt[1] ... + K'(u))) / (ell0 * N * h * h),
+        sum(phi * (K'(u) + tilt * K(u))) / (ell0 * N * h * h),
 
-    or, with ``tilt`` None, 2 eps * sum(phi * K'(u)) / (N * h * h). hat and
-    check take the tilt (h, grad log ell), exponential (theta h,) and uniform
-    none. :meth:`sum` adds up the terms of some draws of each row and
-    :meth:`finish` scales a row's sum by its N, so a row may be summed in
-    pieces. Every row is reduced in the same operation order as a single
-    (N,) sample set, so a (B, N) block gives the same bits as B separate
-    calls, and equal formulas give equal bits on the same terms.
+    with tilt = theta h and ell0 = ell(0) of the randomizer, so uniform is
+    tilt 0 and then reads no K(u). :meth:`sum` adds up the terms of some
+    draws of each row and :meth:`finish` scales a row's sum by its N, so a
+    row may be summed in pieces. Every row is reduced in the same operation
+    order as a single (N,) sample set, so a (B, N) block gives the same
+    bits as B separate calls, and equal formulas give equal bits on the
+    same terms.
     """
 
     h: float
-    tilt: tuple | None = None
-    ell0: float = 1.0
-    eps: float = 0.0
+    tilt: float
+    ell0: float
 
     def sum(self, payoffs, grad, value, out=None) -> np.ndarray:
         """The sums over the last axis of the terms from K'(u) in ``grad``
-        and K(u) in ``value`` (unused without a tilt). ``out`` may be the
-        one of them that the formula reads last, K(u) with a tilt and K'(u)
-        without, which it then overwrites; otherwise both are left as they
-        are."""
-        if self.tilt is None:
+        and K(u) in ``value`` (unread, and may be None, when the tilt is 0).
+        ``out`` may be the one of them that the formula reads last, K(u)
+        with a tilt and K'(u) without, which it then overwrites; otherwise
+        both are left as they are."""
+        if not self.tilt:
             return np.sum(np.multiply(grad, payoffs, out=out), axis=-1)
-        first, *rest = self.tilt
-        terms = np.multiply(value, first, out=out)
-        for factor in rest:
-            terms *= factor
+        terms = np.multiply(value, self.tilt, out=out)
         terms += grad
         terms *= payoffs
         return np.sum(terms, axis=-1)
 
     def finish(self, total, n: int):
         """The rows from the sums ``total`` of rows of n draws."""
-        if self.tilt is None:
-            return 2.0 * self.eps * total / (n * self.h * self.h)
         return total / (self.ell0 * n * self.h * self.h)
 
 
-def _kernel_terms(kernel: Kernel, h: float, offsets, values: bool, out=None) -> tuple:
-    """K'(u) and, when ``values``, K(u) (else None) at u = offsets / h. u goes
-    into ``out``, which may be ``offsets`` itself, else into a temporary
-    that is dropped before the terms are returned."""
-    u = np.divide(offsets, h, out=out)
-    return kernel.gradient(u), kernel(u) if values else None
+def _kernel_sums(kernel: Kernel, formula: _KernelSum, payoffs, offsets, out=None) -> np.ndarray:
+    """The row sums of ``formula`` over the last axis of the draws at
+    ``offsets`` lambda0 - Lambda_i: u = offsets / h, K'(u) and, only with a
+    tilt, K(u), which the sum then overwrites. u goes into ``out``, which
+    may be ``offsets`` itself, else into a temporary that is dropped before
+    the terms are summed."""
+    u = np.divide(offsets, formula.h, out=out)
+    grad = kernel.gradient(u)
+    value = kernel(u) if formula.tilt else None
+    del u
+    return formula.sum(payoffs, grad, value, out=grad if value is None else value)
 
 
 def _formula(
@@ -259,20 +260,22 @@ def _formula(
     randomizer ``gen``, None if unknown; raises the estimator's error if a
     check fails.
 
-    hat and check take ``randomizer`` when given, else ``gen``, and check
-    the ``offsets`` lambda0 - Lambda_i against its support when no ``gen``
-    did. uniform and exponential couple the support to the kernel window,
-    epsilon = M h, or take gen's epsilon if it covers the window;
-    exponential takes the tilt ``theta``, else gen's.
+    Each estimator decides a randomizer r, and its formula is
+    ``_KernelSum(h, r.theta * h, r.density_at_zero())``, so it depends on r
+    and h alone. hat and check take ``randomizer`` when given, else
+    ``gen``, and check the ``offsets`` lambda0 - Lambda_i against its
+    support when no ``gen`` did; their tilt is theta_r, the log-density
+    gradient, which is constant on the support. uniform and exponential
+    couple the support to the kernel window, epsilon = M h, or take gen's
+    epsilon if it covers the window; uniform is theta = 0, and exponential
+    takes the tilt ``theta``, else gen's.
     """
     h = _require_bandwidth(bandwidth)
     if eid in ("hat", "check"):
         r = _resolve_randomizer(gen, randomizer)
         if gen is None:  # no generating randomizer checked these draws
             _require_support(offsets, r)
-        # the log-density gradient is constant on the support, so its value at
-        # each drawn offset is its value at 0
-        return _KernelSum(h, (h, r.grad_log_density(0.0)), ell0=r.density_at_zero())
+        return _KernelSum(h, r.theta * h, r.density_at_zero())
     kind = "uniform"
     if eid == "exponential":
         if theta is None:
@@ -294,10 +297,8 @@ def _formula(
                 f"generating epsilon {gen.epsilon} is below the kernel window {eps}"
             )
         eps = gen.epsilon
-    if eid == "uniform":
-        return _KernelSum(h, eps=eps)
-    ell0 = Randomizer(kind="truncexp", epsilon=eps, theta=theta).density_at_zero()
-    return _KernelSum(h, (theta * h,), ell0=ell0)
+    r = Randomizer(kind, eps, theta if eid == "exponential" else 0.0)
+    return _KernelSum(h, r.theta * h, r.density_at_zero())
 
 
 def _kernel_estimate(
@@ -313,9 +314,8 @@ def _kernel_estimate(
     _require_draws(samples)
     offsets = samples.lambda0 - samples.lambdas
     formula = _formula(eid, samples.randomizer, kernel, bandwidth, randomizer, theta, offsets)
-    # u = offsets / h and then the terms overwrite the offsets
-    grad, value = _kernel_terms(kernel, formula.h, offsets, formula.tilt is not None, offsets)
-    total = formula.sum(samples.payoffs, grad, value, out=grad if value is None else value)
+    # u = offsets / h overwrites the offsets
+    total = _kernel_sums(kernel, formula, samples.payoffs, offsets, offsets)
     return Estimate(float(_finite(formula.finish(total, samples.n), eid)), samples.n, eid)
 
 
@@ -580,12 +580,23 @@ def _double_kernel_moments(lam, z, h, kernel, second, queries=None) -> tuple:
                 prefix[:, t + 1] += prefix[:, t]
         else:
             np.cumsum(prefix, axis=1, out=prefix)
+        # a rank bound at or below a block's lowest rank falls on its first
+        # row and one above its highest on its last, so only the bounds in
+        # between are searched for
+        base = np.arange(built.size) * n
+        lowest, highest = key[first] - base, key[last] - base
+
+        def prefix_row(k, rank):
+            row = np.where(rank <= lowest[k], first[k], first[k] + count[k])
+            inside = np.flatnonzero((rank > lowest[k]) & (rank <= highest[k]))
+            row[inside] = np.searchsorted(key, k[inside] * n + rank[inside])
+            return row + k
+
         piece_den, piece_num = np.empty(taken.size), np.empty(taken.size)
         for a in range(0, taken.size, rows):
             i, k = query[taken[a : a + rows]], node[a : a + rows]
             q = asked[i]
-            lo_rows = np.searchsorted(key, k * n + rank_lo[i]) + k
-            hi_rows = np.searchsorted(key, k * n + rank_hi[i]) + k
+            lo_rows, hi_rows = prefix_row(k, rank_lo[i]), prefix_row(k, rank_hi[i])
             box = (flat[hi_rows] - flat[lo_rows]).reshape(-1, dk + 1, dh + 1)
             inner = np.einsum("isr,ir->is", box, powers(z[q] - z_c[k], dh) @ shift_h)
             lam_pow = powers(lam[q] - lam_c[k], dk)

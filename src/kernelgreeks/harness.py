@@ -31,7 +31,7 @@ from .estimators import (
     _finite,
     _finite_difference_sum,
     _formula,
-    _kernel_terms,
+    _kernel_sums,
     _KernelSum,
     _likelihood_ratio_sum,
     _require_bandwidth,
@@ -346,7 +346,7 @@ def _evaluate_block(members, first_id: int, gens, draws, unit) -> list:
 
     Per leaf, single-kernel estimators with equal randomizer and payoff
     share one pass of offsets, spots, states, payoffs and support check, and
-    per kernel and h the kernel terms (:func:`_kernel_rows`); each group
+    per kernel and formula one reduction (:func:`_kernel_rows`); each group
     takes its offsets from the kept uniforms into ``draws[1]``, and a lone
     group in their place. Each member
     keeps its leaf sums, direct and mirrored apart under antithetic pairing;
@@ -508,13 +508,11 @@ def _kernel_rows(members, lams, unit) -> list:
 
     Offsets, states, payoffs and the support check of the draws serve
     every member; the formulas were checked when the plans were resolved.
-    Members with equal kernel and h share u = offsets / h, K'(u) and K(u),
-    the latter only if a formula reads it; u is dropped before the
-    formulas run, and the last such group takes it in place of the
-    offsets. Equal formulas, as hat and check are, reduce once. The last
-    formula to read K(u) and the last to read K'(u) (uniform, ordered
-    last) overwrite it, so the members hold no more (rows, N) arrays at
-    once than one alone.
+    A formula depends only on the randomizer and h, so members with equal
+    kernel and formula, as hat, check and uniform are at the uniform
+    randomizer, reduce once (:func:`_kernel_sums`); the last group takes
+    u = offsets / h in place of the offsets, so the members hold no more
+    (rows, N) arrays at once than one alone.
     """
     cfg, plan = members[0]
     states = np.multiply(lams, unit)
@@ -524,19 +522,16 @@ def _kernel_rows(members, lams, unit) -> list:
     if outside is not None:
         return [outside] * len(members)
     outcomes = [None] * len(members)
-    # terms key -> (kernel, {formula: (formula, its members)}); repr tells a
-    # tilt of -0.0 from 0.0, which == does not
-    shared = {}
+    groups = {}
     for i, (_, p) in enumerate(members):
-        readers = shared.setdefault(_terms_key(p.kernel, p.formula.h), (p.kernel, {}))[1]
-        readers.setdefault(repr(p.formula), (p.formula, []))[1].append(i)
-    for g, (kernel, readers) in enumerate(shared.values()):
-        groups = sorted(readers.values(), key=lambda group: group[0].tilt is None)
-        formulas = [f for f, _ in groups]
-        results = _shared_rows(kernel, formulas, payoffs, offsets, g == len(shared) - 1)
-        for total, (formula, idx) in zip(results, groups):
-            for i in idx:
-                outcomes[i] = total if isinstance(total, Exception) else (formula.finish, total)
+        key = p.kernel.support_radius, p.kernel.coeffs.tobytes(), p.formula
+        groups.setdefault(key, []).append(i)
+    for g, idx in enumerate(groups.values()):
+        p = members[idx[0]][1]
+        u = offsets if g == len(groups) - 1 else None
+        total = _attempt(_kernel_sums, p.kernel, p.formula, payoffs, offsets, u)
+        for i in idx:
+            outcomes[i] = total if isinstance(total, Exception) else (p.formula.finish, total)
     return outcomes
 
 
@@ -558,35 +553,6 @@ def _double_rows(members, lams, unit) -> list:
         ])
 
     return [_attempt(rows, plan) for _, plan in members]
-
-
-def _shared_rows(kernel: Kernel, formulas: list, payoffs, offsets, consume: bool) -> list:
-    """The row sums of each of ``formulas``, which share h and list those
-    with a tilt first, from one evaluation of the kernel terms; or the exception
-    that stopped it. The last formula with a tilt overwrites K(u), and a
-    last one without overwrites K'(u). With ``consume``, u = offsets / h
-    overwrites the offsets."""
-    tilted = sum(f.tilt is not None for f in formulas)
-    u = offsets if consume else None
-    terms = _attempt(_kernel_terms, kernel, formulas[0].h, offsets, tilted > 0, u)
-    if isinstance(terms, Exception):
-        return [terms] * len(formulas)
-    grad, value = terms
-    results = []
-    for k, f in enumerate(formulas):
-        if k == tilted - 1:
-            out = value
-        elif k == len(formulas) - 1 and k >= tilted:
-            out = grad
-        else:
-            out = None
-        results.append(_attempt(f.sum, payoffs, grad, value, out))
-    return results
-
-
-def _terms_key(kernel: Kernel, h: float) -> tuple:
-    """What K(u) and K'(u) at u = offsets / h depend on."""
-    return kernel.support_radius, kernel.coeffs.tobytes(), h
 
 
 def _with_index(exc: Exception, j: int) -> Exception:

@@ -100,11 +100,14 @@ class Randomizer:
         """Inverse-CDF transform of uniforms u in [0, 1) to offsets (vectorized).
 
         ``out``, when given, is a float array shaped like u that receives
-        the offsets; it may be u itself.
+        the offsets; it may be u itself. A u outside [0, 1), NaN included,
+        raises :class:`OutsideSupport`, which is a ValueError.
         """
         u = np.asarray(u, dtype=float)
-        if np.any(u < 0.0) or np.any(u >= 1.0):
-            raise ValueError("uniforms must lie in [0, 1)")
+        # written so that a NaN fails the test, which u < 0 and u >= 1 miss;
+        # the initial 0 passes an empty u
+        if not (u.min(initial=0.0) >= 0.0 and u.max(initial=0.0) < 1.0):
+            raise OutsideSupport("uniforms must lie in [0, 1)")
         if out is None:
             out = np.empty_like(u)
         te = self.theta * self.epsilon

@@ -1,5 +1,6 @@
 """Unit tests of the delta estimators on hand-checkable sample sets."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -657,7 +658,7 @@ def test_estimators_keep_their_operation_order():
         off = ss.lambda0 - ss.lambdas
         u = off / h
         ell0, n = r.density_at_zero(), ss.n
-        terms = ss.payoffs * (kernel(u, grad) + h * kernel(u, k4.coeffs) * r.theta)
+        terms = ss.payoffs * (kernel(u, grad) + kernel(u, k4.coeffs) * (r.theta * h))
         hat = float(np.sum(terms)) / (ell0 * n * h * h)
         ec = EstimatorConfig(kernel=k4, bandwidth=h, randomizer=r)
         assert estimate_single_kernel_hat(ss, ec).value == hat
@@ -667,7 +668,7 @@ def test_estimators_keep_their_operation_order():
             value = float(np.sum(terms)) / (ell0 * n * h * h)
             assert estimate_exponential_opt(ss, k4, h).value == value
         else:
-            value = 2.0 * h * float(np.sum(ss.payoffs * kernel(u, grad))) / (n * h * h)
+            value = float(np.sum(ss.payoffs * kernel(u, grad))) / (ell0 * n * h * h)
             assert estimate_uniform_opt(ss, k4, h).value == value
     gauss = rng.standard_normal(999)
     base = simulate_terminal(PAPER, gauss, spot=1.0)
@@ -680,3 +681,31 @@ def test_estimators_keep_their_operation_order():
     lr = float(np.mean(payoff(states) * (d / 120.0)))
     ss = SampleSet(120.0, np.full(999, 120.0), states, payoff(states))
     assert estimate_oracle_score(ss, PAPER).value == lr
+
+
+def test_one_formula_moves_only_roundoff():
+    # every single-kernel estimator divides by ell(0) and tilts by
+    # K(u) * (theta h); the forms 2 eps S / (N h^2) for uniform and
+    # K(u) h theta for hat and check differ from it only by roundoff
+    for family, h, scale, n, seed, payoff in itertools.product(
+        ("p2", "p4", "p6"), (0.37, 3.0, 14.67), (1.0, 1.6), (7, 1001, 4000), range(2),
+        (digital_call(120.0), vanilla_call(118.0)),
+    ):
+        kernel = builtin_kernel(family)
+        rng = np.random.default_rng(seed)
+        eps = scale * h
+        ss = make_samples(rng, n, randomizer=uniform_randomizer(eps), payoff=payoff)
+        u = (ss.lambda0 - ss.lambdas) / h
+        before = 2.0 * eps * float(np.sum(kernel.gradient(u) * ss.payoffs)) / (n * h * h)
+        after = estimate_uniform_opt(ss, kernel, h).value
+        assert abs(after - before) <= 4 * np.spacing(abs(before))
+        for theta in (-0.3, 0.9):
+            r = truncexp_randomizer(eps, theta)
+            ss = make_samples(rng, n, randomizer=r, payoff=payoff)
+            u = (ss.lambda0 - ss.lambdas) / h
+            terms = ss.payoffs * (kernel(u) * h * theta + kernel.gradient(u))
+            before = float(np.sum(terms)) / (r.density_at_zero() * n * h * h)
+            ec = EstimatorConfig(kernel=kernel, bandwidth=h, randomizer=r)
+            after = estimate_single_kernel_hat(ss, ec).value
+            assert abs(after - before) <= 1e-13 * abs(before)
+            assert estimate_single_kernel_check(ss, ec).value == after

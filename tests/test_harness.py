@@ -617,6 +617,7 @@ def test_convergence_fit_lr_parametric_rate():
     assert np.allclose(fit.log_mse, np.log(fit.mse))
 
 
+@pytest.mark.slow
 def test_asian_kernel_and_fd_agree():
     # The averaged state has no closed form, so the randomized-kernel and
     # bump-and-reprice estimators validate each other. The automatic
@@ -1214,7 +1215,22 @@ def test_shared_group_evaluates_each_kernel_once_per_block(monkeypatch):
     group = CommonRun(cfgs, workers=1)
     for cfg in cfgs:
         group.result(cfg)
-    assert calls == {"__call__": 3, "gradient": 3}  # blocks of 3, 3 and 1 rows
+    # blocks of 3, 3 and 1 rows; one formula, which has no tilt and reads no K(u)
+    assert calls == {"__call__": 0, "gradient": 3}
+
+
+@pytest.mark.parametrize("n, antithetic", [(317, False), (318, True), (1000, False)])
+def test_hat_check_and_uniform_agree_bit_for_bit(monkeypatch, n, antithetic):
+    # at the uniform randomizer the three have one formula; rows of 1000
+    # draws are walked in leaves of 200
+    monkeypatch.setattr(harness, "_BLOCK_ELEMENTS", 200)
+    cfgs = [base_config(estimator_id=eid, n_samples=n, replications=5, antithetic=antithetic)
+            for eid in ("hat", "check", "uniform")]
+    assert len({resolve_run(cfg).formula for cfg in cfgs}) == 1
+    group = CommonRun(cfgs, workers=2)
+    hat, check, uniform = (group.result(cfg).estimates.tobytes() for cfg in cfgs)
+    assert hat == check == uniform
+    assert run_replications(cfgs[2], workers=1).estimates.tobytes() == hat
 
 
 def test_shared_group_keeps_each_members_error():

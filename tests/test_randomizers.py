@@ -102,6 +102,12 @@ def test_uniforms_out_of_range_rejected():
         r.sample_offsets(1.0)
     with pytest.raises(ValueError):
         r.sample_offsets(-0.1)
+    for t in (r, truncexp_randomizer(1.0, 0.7)):
+        with pytest.raises(OutsideSupport, match=r"uniforms must lie in \[0, 1\)"):
+            t.sample_offsets(np.array([0.5, np.nan]))
+        with pytest.raises(ValueError):
+            t.sample_offsets(np.nan)
+        assert t.sample_offsets(np.array([])).size == 0
 
 
 def test_cdf_round_trip():
