@@ -20,8 +20,8 @@ Estimator menu
 - ``estimate_double_kernel``: plugs a leave-one-out kernel estimate of
   the score into the localized regression; needs a second kernel acting
   in the state dimension.
-- ``estimate_oracle_score``: the score-weighted references, localized or
-  the plain likelihood-ratio average at fixed spot.
+- ``estimate_oracle_score``: the likelihood-ratio average at fixed spot,
+  the reference of lr.
 - ``estimate_finite_difference``: bump-and-reprice with common random
   numbers, forward/centered/backward via alpha.
 """
@@ -613,38 +613,14 @@ def _double_kernel_moments(lam, z, h, kernel, second, queries=None) -> tuple:
     return den, num
 
 
-def estimate_oracle_score(
-    samples: SampleSet,
-    model: GbmParams,
-    config: EstimatorConfig | None = None,
-    localized: bool = False,
-) -> Estimate:
-    """Score-weighted references for the terminal-state model.
-
-    The default is the likelihood-ratio average (1/N) sum phi(Z_i)
-    s(lambda0, Z_i), meant for draws at the fixed spot. With
-    ``localized=True`` the score is evaluated at each randomized spot and
-    the sum is kernel-localized like the other estimators, which needs a
-    config.
-    """
+def estimate_oracle_score(samples: SampleSet, model: GbmParams) -> Estimate:
+    """The likelihood-ratio average (1/N) sum phi(Z_i) s(lambda0, Z_i) for
+    draws at the fixed spot of the terminal-state model."""
     _require_draws(samples)
-    if not localized:
-        value = _likelihood_ratio_sum(
-            model, samples.state_kind, samples.lambda0, samples.states, samples.payoffs
-        ) / samples.n
-        return Estimate(float(_finite(value, "lr")), samples.n, "lr")
-    _require_score(samples.state_kind)
-    law = lognormal_params(model)
-    if config is None:
-        raise ValueError("localized score estimation needs an EstimatorConfig")
-    h = _require_bandwidth(config.bandwidth)
-    r = _resolve_randomizer(samples.randomizer, config.randomizer)
-    svals = law_standardized_d(law, samples.lambdas, samples.states) / samples.lambdas
-    weights = config.kernel((samples.lambda0 - samples.lambdas) / h)
-    value = float(np.sum(samples.payoffs * svals * weights)) / (
-        r.density_at_zero() * samples.n * h
-    )
-    return Estimate(float(_finite(value, "oracle")), samples.n, "oracle")
+    value = _likelihood_ratio_sum(
+        model, samples.state_kind, samples.lambda0, samples.states, samples.payoffs
+    ) / samples.n
+    return Estimate(float(_finite(value, "lr")), samples.n, "lr")
 
 
 def _require_score(state_kind: str) -> None:

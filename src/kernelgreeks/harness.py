@@ -318,12 +318,23 @@ def _tree_add(n: int, limit: int, sums):
     return _tree_add(half, limit, sums) + _tree_add(n - half, limit, sums)
 
 
-def _worker_buffers(cfg: ExperimentConfig, rows: int) -> tuple:
+def _row_limit(members) -> int:
+    """The most draws of the members' rows that one leaf holds: the whole
+    row when one of them is the double kernel, which does not reduce leaf
+    by leaf."""
+    if any(c.estimator_id == "double" for c, _ in members):
+        return max(_draws_per_row(members[0][0]), _leaf_limit())
+    return _leaf_limit()
+
+
+def _worker_buffers(members, rows: int) -> tuple:
     """One worker's two generators, its (2, rows, leaf) buffer for a leaf's
     uniforms and offsets and its (rows, leaf) buffer for unit-spot states,
-    where a leaf is a whole row if the row fits a block. The generators
-    are re-keyed before every row."""
-    width = max(size for _, size in _tree_leaves(_draws_per_row(cfg), _leaf_limit()))
+    for blocks of the members (cfg, plan) or of any of them. A leaf is a
+    whole row if the row fits a block or a member is the double kernel.
+    The generators are re-keyed before every row."""
+    cfg = members[0][0]
+    width = max(size for _, size in _tree_leaves(_draws_per_row(cfg), _row_limit(members)))
     gens = stream(cfg.seed, 0), stream(cfg.seed, 0)
     return gens, np.empty((2, rows, width)), np.empty((rows, width))
 
@@ -333,33 +344,35 @@ def _evaluate_block(members, first_id: int, gens, draws, unit) -> list:
     member (cfg, plan): a (rows,) array, or the exception that stopped it.
 
     The members agree on model, state, N, seed and antithetic pairing, so
-    they share their draws. The block is evaluated once per draw layout,
-    noise-only (fd, then lr) first. A block of more than one row, or of one
-    row of at most ``_BLOCK_ELEMENTS`` draws, is one leaf: row j re-keys
-    ``gens[0]`` to stream first_id + j and draws the uniforms into
-    ``draws[0]`` (kernel estimators only), then the noise, reduced to
-    unit-spot states in ``unit``. That is exactly what a lone replication
-    draws, in the same order. A longer row is walked in the leaves of
-    :func:`_tree_leaves`: its uniforms come from ``gens[0]`` at the start of
-    the stream and its noise from ``gens[1]``, which :func:`skip` places
+    they share their draws, and the block is evaluated in one pass over its
+    leaves. Row j reads stream first_id + j as its N uniforms and then its
+    noise, reduced to unit-spot states in ``unit``, for every estimator;
+    the uniforms go to ``draws[0]``, and a block without kernel members
+    passes over them with :func:`skip`, which draws nothing. A block of
+    more than one row, or of one row of at most ``_BLOCK_ELEMENTS`` draws,
+    or with a double-kernel member, is one leaf, and row j's noise follows
+    its uniforms on ``gens[0]``. A longer row is walked in the leaves of
+    :func:`_tree_leaves`: its uniforms come from ``gens[0]`` at the start
+    of the stream and its noise from ``gens[1]``, which :func:`skip` places
     after the row's uniforms, both carrying on from leaf to leaf.
 
-    Per leaf, single-kernel estimators with equal randomizer and payoff
-    share one pass of offsets, spots, states, payoffs and support check, and
-    per kernel and formula one reduction (:func:`_kernel_rows`); each group
-    takes its offsets from the kept uniforms into ``draws[1]``, and a lone
-    group in their place. Each member
-    keeps its leaf sums, direct and mirrored apart under antithetic pairing;
-    they are added up numpy's summation tree and finished with the row's N
-    in the same operation order as a lone replication, so the estimates are
-    the same bits. Double-kernel members form groups of their own
-    (:func:`_double_rows`), since their doubled support can equal a
-    single-kernel randomizer, and run once their rows are whole. A failed
-    check stops the members it concerns for the whole block.
+    Per leaf, kernel estimators with equal randomizer and payoff share one
+    pass of offsets, spots, states, payoffs and support check: single-kernel
+    members, per kernel and formula, one reduction (:func:`_kernel_rows`),
+    and double-kernel members, which form groups of their own since their
+    doubled support can equal a single-kernel randomizer, their estimates
+    (:func:`_double_rows`). Each group takes its offsets from the kept
+    uniforms into ``draws[1]``, and a lone group in their place. fd, then
+    lr, read the unit-spot states last. Each member keeps its leaf sums,
+    direct and mirrored apart under antithetic pairing; they are added up
+    numpy's summation tree and finished with the row's N in the same
+    operation order as a lone replication, so the estimates are the same
+    bits. A failed check stops the members it concerns for the whole block.
     """
     cfg = members[0][0]
     spot, m, rows = cfg.model.spot, _draws_per_row(cfg), unit.shape[0]
-    leaves = _tree_leaves(m, _leaf_limit())
+    limit = _row_limit(members)
+    leaves = _tree_leaves(m, limit)
     outcomes = [None] * len(members)
     # member -> the function that finishes its sums, and its sums per leaf:
     # a list of one array, or of two under antithetic pairing
@@ -374,80 +387,61 @@ def _evaluate_block(members, first_id: int, gens, draws, unit) -> list:
             finishes[i] = value[0][0]
             sums[i].append([total for _, total in value])
 
-    for uniforms in (False, True):
-        idx = [i for i, (_, p) in enumerate(members) if (p.randomizer is not None) == uniforms]
-        # fd only reads the states, so lr goes last and its last member may
-        # scale them in place
-        idx.sort(key=lambda i: members[i][0].estimator_id == "lr")
-        groups = {}
-        for i in idx:
-            c, p = members[i]
+    groups, plain = {}, []
+    for i, (c, p) in enumerate(members):
+        if p.randomizer is None:
+            plain.append(i)
+        else:
             groups.setdefault((p.randomizer, c.payoff, c.estimator_id == "double"), []).append(i)
-        whole = {}  # group -> the rows of a double-kernel group, gathered leaf by leaf
-        for k, (start, size) in enumerate(leaves):
-            if all(outcomes[i] is not None for i in idx):
-                break
-            u, scratch, z = draws[0, :, :size], draws[1, :, :size], unit[:, :size]
-            for j in range(rows):
-                if k == 0:
-                    # a block of several leaves has one row, whose generators
-                    # carry on from leaf to leaf
-                    rng = noise = rekey(gens[0], cfg.seed, first_id + j)
-                    if uniforms and len(leaves) > 1:
-                        noise = skip(rekey(gens[1], cfg.seed, first_id + j), m)
-                if uniforms:
-                    rng.random(out=u[j])
-                if cfg.asian is None:
-                    noise.standard_normal(out=z[j])
-                else:
-                    asian_unit_averages(cfg.model, cfg.asian, noise, size, out=z[j])
+    # fd only reads the states, so lr goes last and its last member may
+    # scale them in place
+    plain.sort(key=lambda i: members[i][0].estimator_id == "lr")
+    for k, (_, size) in enumerate(leaves):
+        if all(v is not None for v in outcomes):
+            break
+        u, scratch, z = draws[0, :, :size], draws[1, :, :size], unit[:, :size]
+        for j in range(rows):
+            if k == 0:
+                # a block of several leaves has one row, whose generators
+                # carry on from leaf to leaf
+                rng = noise = rekey(gens[0], cfg.seed, first_id + j)
+                if not groups:
+                    skip(noise, m)
+                elif len(leaves) > 1:
+                    noise = skip(rekey(gens[1], cfg.seed, first_id + j), m)
+            if groups:
+                rng.random(out=u[j])
             if cfg.asian is None:
-                # states are linear in the spot; these are the states at spot 1
-                simulate_terminal(cfg.model, z, spot=1.0, out=z)
-            if not uniforms:
-                live = [i for i in idx if outcomes[i] is None]
-                for pos, i in enumerate(live):
-                    c = members[i][0]
-                    total = _attempt(_noise_sum, c, z, pos == len(live) - 1)
-                    keep(i, total if isinstance(total, Exception) else [(_noise_finish(c), total)])
+                noise.standard_normal(out=z[j])
+            else:
+                asian_unit_averages(cfg.model, cfg.asian, noise, size, out=z[j])
+        if cfg.asian is None:
+            # states are linear in the spot; these are the states at spot 1
+            simulate_terminal(cfg.model, z, spot=1.0, out=z)
+        for (randomizer, _, double), shared in groups.items():
+            live = [i for i in shared if outcomes[i] is None]
+            if not live:
                 continue
-            for key, shared in groups.items():
-                randomizer, _, double = key
-                live = [i for i in shared if outcomes[i] is None]
-                if not live:
-                    continue
-                # a lone group may take the uniforms' place, and the scratch
-                # buffer then stays untouched, which keeps its pages unmapped
-                out = u if len(groups) == 1 else scratch
-                offsets = _attempt(randomizer.sample_offsets, u, out)
-                if isinstance(offsets, Exception):
-                    for i in live:
-                        outcomes[i] = offsets
-                    continue
-                mirrored = offsets + spot if cfg.antithetic else None
-                # the spots overwrite the offsets, which no longer serve
-                lams = np.subtract(spot, offsets, out=offsets)
-                if not double:
-                    values = _paired(_kernel_rows, [members[i] for i in live], lams, mirrored, z)
-                    for i, v in zip(live, values):
-                        keep(i, v)
-                    continue
-                states = z
-                if len(leaves) > 1:
-                    if key not in whole:
-                        whole[key] = [None if a is None else np.empty((1, m))
-                                      for a in (lams, z, mirrored)]
-                    held = whole[key]
-                    for full, part in zip(held, (lams, z, mirrored)):
-                        if full is not None:
-                            full[:, start : start + size] = part
-                    if k < len(leaves) - 1:
-                        continue
-                    lams, states, mirrored = held
-                values = _paired(_double_rows, [members[i] for i in live], lams, mirrored, states)
-                for i, v in zip(live, values):
-                    outcomes[i] = v if isinstance(v, Exception) else _averaged(v)
-    limit = _leaf_limit()
+            # a lone group may take the uniforms' place, and the scratch
+            # buffer then stays untouched, which keeps its pages unmapped
+            out = u if len(groups) == 1 else scratch
+            offsets = _attempt(randomizer.sample_offsets, u, out)
+            if isinstance(offsets, Exception):
+                for i in live:
+                    outcomes[i] = offsets
+                continue
+            mirrored = offsets + spot if cfg.antithetic else None
+            # the spots overwrite the offsets, which no longer serve
+            lams = np.subtract(spot, offsets, out=offsets)
+            rows_of = _double_rows if double else _kernel_rows
+            values = _paired(rows_of, [members[i] for i in live], lams, mirrored, z)
+            for i, v in zip(live, values):
+                keep(i, v)
+        live = [i for i in plain if outcomes[i] is None]
+        for pos, i in enumerate(live):
+            c = members[i][0]
+            total = _attempt(_noise_sum, c, z, pos == len(live) - 1)
+            keep(i, total if isinstance(total, Exception) else [(_noise_finish(c), total)])
     for i, (c, _) in enumerate(members):
         if outcomes[i] is None:
             totals = [_tree_add(m, limit, iter(side)) for side in zip(*sums[i])]
@@ -456,13 +450,10 @@ def _evaluate_block(members, first_id: int, gens, draws, unit) -> list:
 
 
 def _finished(eid: str, finish, totals: list, n: int):
-    """The estimates of rows of n draws from their sums ``totals``, one
-    array, or a direct and a mirrored one under antithetic pairing."""
-    return _averaged([_finite(finish(total, n), eid) for total in totals])
-
-
-def _averaged(values: list):
-    """A lone value, or the mean of a direct and a mirrored one."""
+    """The estimates of rows of n draws from their sums ``totals``: one
+    array, or a direct and a mirrored one under antithetic pairing, whose
+    mean the estimates are."""
+    values = [_finite(finish(total, n), eid) for total in totals]
     return values[0] if len(values) == 1 else 0.5 * (values[0] + values[1])
 
 
@@ -537,17 +528,20 @@ def _kernel_rows(members, lams, unit) -> list:
 
 def _double_rows(members, lams, unit) -> list:
     """Each double-kernel member's estimates of the draws at spots ``lams``,
-    one per row, or the exception that stopped it; the members share
-    randomizer and payoff. The estimator does not reduce row by row, so
-    each row runs through :func:`estimate_double_kernel` on its own."""
+    one per row, with a finish that keeps them as they are, or the exception
+    that stopped it; the members share randomizer and payoff. The estimator
+    does not reduce row by row, so each row runs through
+    :func:`estimate_double_kernel` on its own, and its rows are whole
+    (:func:`_row_limit`)."""
     cfg = members[0][0]
     kind = "terminal" if cfg.asian is None else "asian"
     states = np.multiply(lams, unit)
     payoffs = cfg.payoff(states)
 
-    def rows(plan: _RunPlan) -> np.ndarray:
+    def rows(plan: _RunPlan) -> tuple:
         ec = EstimatorConfig(plan.kernel, plan.h, plan.randomizer, plan.second_kernel)
-        return np.array([
+        # the estimates need no finishing
+        return (lambda total, n: total), np.array([
             estimate_double_kernel(SampleSet(cfg.model.spot, *row, plan.randomizer, kind), ec).value
             for row in zip(lams, states, payoffs)
         ])
@@ -585,9 +579,10 @@ def _replicate(members, ids: range, workers: int) -> list:
     The members share their draws and run in blocks of
     max(1, min(2^16 // N, ceil(R / workers))) replications, so that every
     worker gets a block; a block of one row of more than 2^16 draws is
-    walked in cache-sized leaves (:func:`_evaluate_block`). Each worker
-    holds its buffers for the run, sized by the block or the leaf, so
-    memory grows with neither N nor R. Each row's ``runtime_ms`` is the
+    walked in cache-sized leaves (:func:`_evaluate_block`), unless a member
+    is the double kernel. Each worker holds its buffers for the run, sized
+    by the block or the leaf, so memory grows with neither N nor R, except
+    for the double kernel's whole rows. Each row's ``runtime_ms`` is the
     block's wall time divided by its rows times the members it evaluated.
     A member's error names its first failing replication, and later blocks
     skip the member.
@@ -601,7 +596,7 @@ def _replicate(members, ids: range, workers: int) -> list:
     # once; a block borrows a set for as long as it runs
     free = queue.SimpleQueue()
     for _ in range(w):
-        free.put(_worker_buffers(cfg, rows))
+        free.put(_worker_buffers(members, rows))
     estimates = [np.empty(r_count) for _ in members]
     runtimes = [np.empty(r_count) for _ in members]
     # member -> (first failing replication, its error); only ``collect``
@@ -703,17 +698,17 @@ def _run_result(cfg: ExperimentConfig, plan: _RunPlan, estimates, runtimes) -> R
 class CommonRun:
     """Configs whose replications run on common random numbers.
 
-    Replication j of every config consumes stream ``stream_base + j``, and
-    each config's estimates are those of a run of its own bit for bit, but
-    row j opens its stream once per draw layout (uniforms then noise for
-    the kernel estimators, noise alone for lr and fd), builds the unit-spot
-    states once per layout, and single-kernel estimators with equal
-    randomizer and payoff share their offsets, states and payoffs. The
-    uniforms are drawn once per row and kept for every randomizer. A row
-    of more than 2^16 draws runs in leaves of at most 2^16, each through
-    the whole pipeline, so memory does not grow with N. The double kernel
-    shares the draws and forms a randomizer group of its own, which
-    gathers its rows whole. Each config still resolves its own plan.
+    Replication j of every config reads stream ``stream_base + j`` as its
+    N uniforms and then its noise, and each config's estimates are those
+    of a run of its own bit for bit, but row j draws its stream once,
+    builds the unit-spot states once, and single-kernel estimators with
+    equal randomizer and payoff share their offsets, states and payoffs.
+    The uniforms are kept for every randomizer; lr and fd read only the
+    noise. A row of more than 2^16 draws runs in leaves of at most 2^16,
+    each through the whole pipeline, so memory does not grow with N. The
+    double kernel shares the draws and forms a randomizer group of its
+    own; a group that holds it runs its rows whole. Each config still
+    resolves its own plan.
 
     The configs must agree on model, averaged state, N, R, seed and
     antithetic pairing; otherwise the constructor raises ValueError. The
@@ -751,12 +746,13 @@ def run_replications(
 ) -> RunResult:
     """Run R independent replications and collect their estimates.
 
-    Replication j always consumes stream ``stream_base + j``, and the
-    output array is indexed by j, so the result does not depend on the
-    worker count. Replications run in blocks of
-    max(1, min(2^16 // N, ceil(R / workers))) rows, and a row of more than
-    2^16 draws in cache-sized leaves whose sums are added as np.sum adds
-    them, so the estimates do not depend on the block or leaf size either.
+    Replication j always reads stream ``stream_base + j``, as N uniforms
+    and then the noise whatever the estimator, and the output array is
+    indexed by j, so the result does not depend on the worker count.
+    Replications run in blocks of max(1, min(2^16 // N, ceil(R / workers)))
+    rows, and a row of more than 2^16 draws in cache-sized leaves whose
+    sums are added as np.sum adds them, so the estimates do not depend on
+    the block or leaf size either. The double kernel runs its rows whole.
     Each row's ``runtime_ms`` is its block's wall time divided by the
     block's rows.
     Estimator errors are re-raised with the index of the first failing

@@ -14,6 +14,10 @@ keeps every consumer disjoint:
 ``replication_ids`` and ``sweep_base`` raise rather than hand out ids that
 cross into another consumer's block.
 
+Within its stream, a replication of N draws reads N uniforms and then its
+noise, whatever the estimator: lr and fd pass over the uniforms with
+``skip``, so every estimator of a replication sees the same noise.
+
 ``stream`` opens a new generator. ``rekey`` moves an open one to the start
 of another stream, with the same draws as ``stream`` and at a fraction of
 its cost; a loop over many streams re-keys one generator. Philox is

@@ -16,7 +16,6 @@ from kernelgreeks import (
     GbmParams,
     SampleSet,
     builtin_kernel,
-    closed_form_digital_delta,
     digital_call,
     estimate_double_kernel,
     estimate_finite_difference,
@@ -559,22 +558,6 @@ def test_oracle_score_rejects_asian_states():
     s = SampleSet(120.0, [120.0], [118.0], [1.0], state_kind="asian")
     with pytest.raises(ScoreUnavailable):
         estimate_oracle_score(s, PAPER)
-
-
-def test_localized_score_needs_config_and_tracks_delta():
-    rng = np.random.default_rng(12)
-    with pytest.raises(ValueError):
-        estimate_oracle_score(make_samples(rng, 10), PAPER, localized=True)
-    reps = []
-    r = uniform_randomizer(2.0)
-    cfg = EstimatorConfig(kernel=K2, bandwidth=2.0)
-    for _ in range(40):
-        s = make_samples(rng, 4000, randomizer=r)
-        reps.append(estimate_oracle_score(s, PAPER, config=cfg, localized=True).value)
-    reps = np.asarray(reps)
-    stderr = reps.std(ddof=1) / math.sqrt(len(reps))
-    target = closed_form_digital_delta(PAPER, 120.0)
-    assert abs(reps.mean() - target) <= 3.0 * stderr + 1e-4
 
 
 # -- finite differences ------------------------------------------------------

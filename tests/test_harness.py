@@ -680,6 +680,7 @@ def test_streamed_asian_replication_matches_one_full_draw(estimator_id, antithet
     plan = resolve_run(cfg)
     rng = stream(cfg.seed, 3)
     if estimator_id == "fd":
+        rng.random(n)  # the uniforms that precede every replication's noise
         gauss = rng.standard_normal((n, asian.steps))
         fd = FdConfig(alpha=cfg.fd_alpha, bump=cfg.fd_eps)
         want = estimate_finite_difference(PAPER, cfg.payoff, fd, gauss, asian=asian).value
@@ -700,7 +701,7 @@ def test_streamed_asian_replication_matches_one_full_draw(estimator_id, antithet
         want = estimate(120.0 - offsets)
         if antithetic:
             want = 0.5 * (want + estimate(120.0 + offsets))
-    (got,) = harness._evaluate_block([(cfg, plan)], 3, *harness._worker_buffers(cfg, 1))
+    (got,) = harness._evaluate_block([(cfg, plan)], 3, *harness._worker_buffers([(cfg, plan)], 1))
     assert got.tolist() == [want]
 
 
@@ -718,7 +719,7 @@ def test_asian_replication_memory_is_bounded(steps):
     plan = resolve_run(cfg)
     tracemalloc.start()
     try:
-        harness._evaluate_block([(cfg, plan)], 0, *harness._worker_buffers(cfg, 1))
+        harness._evaluate_block([(cfg, plan)], 0, *harness._worker_buffers([(cfg, plan)], 1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -735,7 +736,9 @@ def _lone_replication(cfg, stream_id):
     rng = stream(cfg.seed, stream_id)
     spot, eid = cfg.model.spot, cfg.estimator_id
     m = cfg.n_samples // 2 if cfg.antithetic else cfg.n_samples
-    offsets = plan.randomizer.sample_offsets(rng.random(m)) if plan.randomizer else None
+    # every estimator reads its stream as m uniforms, then the noise
+    uniforms = rng.random(m)
+    offsets = plan.randomizer.sample_offsets(uniforms) if plan.randomizer else None
     if cfg.asian is None:
         gauss = rng.standard_normal(m)
 
@@ -1127,6 +1130,42 @@ def test_common_run_matches_separate_runs(monkeypatch, n, asian, antithetic):
             assert np.all(a.runtime_ms > 0.0)
 
 
+class _CountedStream:
+    """A generator that counts the uniforms and normals drawn from it."""
+
+    def __init__(self, rng, counts):
+        self._rng, self._counts = rng, counts
+
+    def random(self, out):
+        self._counts["uniforms"] += out.size
+        self._rng.random(out=out)
+
+    def standard_normal(self, out):
+        self._counts["normals"] += out.size
+        self._rng.standard_normal(out=out)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+@pytest.mark.parametrize("n, block", [(50, 4 * 50), (1000, 200)])
+def test_common_run_draws_each_stream_once(monkeypatch, n, block):
+    # blocks of four rows that are one leaf each, and rows walked in leaves
+    # of at most 200 draws: kernel estimators, lr and fd read one noise
+    monkeypatch.setattr(harness, "_BLOCK_ELEMENTS", block)
+    counts = {"uniforms": 0, "normals": 0}
+    monkeypatch.setattr(harness, "rekey",
+                        lambda gen, seed, i: _CountedStream(rekey(gen, seed, i), counts))
+    common = dict(n_samples=n, replications=5, seed=919)
+    cfgs = [base_config(estimator_id=eid, bandwidth=6.0, **common) for eid in ("hat", "uniform")]
+    cfgs.append(base_config(estimator_id="exponential", bandwidth=6.0, theta=-0.05, **common))
+    cfgs += [base_config(estimator_id=eid, bandwidth=1.0, **common) for eid in ("lr", "fd")]
+    group = CommonRun(cfgs, workers=1)
+    for cfg in cfgs:
+        assert np.all(np.isfinite(group.result(cfg).estimates)), cfg.estimator_id
+    assert counts == {"uniforms": 5 * n, "normals": 5 * n}
+
+
 def test_common_run_needs_configs_that_share_their_draws():
     base = base_config()
     for change in (dict(model=GbmParams(spot=100.0, rate=0.0, vol=0.2, maturity=1.0)),
@@ -1294,7 +1333,7 @@ def test_six_estimator_block_memory():
     cfgs += [base_config(estimator_id=eid, bandwidth=1.0, n_samples=n, replications=1)
              for eid in ("lr", "fd")]
     members = [(cfg, resolve_run(cfg)) for cfg in cfgs]
-    buffers = harness._worker_buffers(cfgs[0], 1)
+    buffers = harness._worker_buffers(members, 1)
     harness._evaluate_block(members, 0, *buffers)  # warm up imports and caches
     tracemalloc.start()
     try:
