@@ -78,9 +78,10 @@ DENSITY_FLOOR_SCALE = 1e-12
 #: their temporaries independently of N
 _PAIR_BUDGET = 2**18
 
-#: blocks of the double-kernel merge-sort tree below this size take their
-#: prefix sums one column at a time, which costs less than np.cumsum there
-_COLUMN_BLOCK = 32
+#: a level of the double-kernel merge-sort tree whose row of one draw per
+#: block holds at least this many elements makes the additions of its prefix
+#: sums a row at a time, which costs less than np.cumsum there
+_PREFIX_ROW = 256
 
 
 @dataclass(frozen=True)
@@ -427,18 +428,18 @@ def _window_bounds(x: np.ndarray, h: float, radius: float, at: np.ndarray) -> tu
     """
     n = x.size
     centre = x[at]
-
-    def inside(j):
-        valid = (j >= 0) & (j < n)
-        return valid & (np.abs((centre - x[np.clip(j, 0, n - 1)]) / h) <= radius)
-
     lo = np.searchsorted(x, centre - radius * h, side="left")
     hi = np.searchsorted(x, centre + radius * h, side="right")
+    # the test at lo - 1, lo, hi - 1 and hi, which a right range fails,
+    # passes, passes and fails
+    expect = np.array([[False], [True], [True], [False]])
     while True:
-        grow_lo, shrink_lo = inside(lo - 1), ~inside(lo)
-        grow_hi, shrink_hi = inside(hi), ~inside(hi - 1)
-        if not (grow_lo.any() or shrink_lo.any() or grow_hi.any() or shrink_hi.any()):
+        j = np.stack([lo - 1, lo, hi - 1, hi])
+        inside = (j >= 0) & (j < n)
+        inside &= np.abs((centre - x[np.clip(j, 0, n - 1)]) / h) <= radius
+        if np.array_equal(inside, np.broadcast_to(expect, inside.shape)):
             return lo, hi
+        grow_lo, shrink_lo, shrink_hi, grow_hi = inside != expect
         lo = np.where(grow_lo, np.searchsorted(x, x[np.maximum(lo - 1, 0)], side="left"), lo)
         lo = np.where(shrink_lo, np.searchsorted(x, x[np.minimum(lo, n - 1)], side="right"), lo)
         hi = np.where(grow_hi, np.searchsorted(x, x[np.minimum(hi, n - 1)], side="right"), hi)
@@ -469,6 +470,15 @@ def _double_kernel_direct(lam, z, h, kernel, second, queries=None) -> tuple:
     return den, num
 
 
+def _row_products(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """rows @ matrix, a row's bits independent of how many rows come with
+    it: numpy takes a single row through a matrix-vector product, whose
+    bits differ from the matrix product's, so a single row is doubled."""
+    if rows.shape[0] == 1:
+        return (np.repeat(rows, 2, axis=0) @ matrix)[:1]
+    return rows @ matrix
+
+
 def _shift_matrix(coeffs: np.ndarray, degree: int) -> np.ndarray:
     """S with P(x - y) = sum_s (S @ [x^0 .. x^degree])_s * y^s for the
     polynomial P with ascending coefficients ``coeffs``."""
@@ -493,9 +503,17 @@ def _double_kernel_moments(lam, z, h, kernel, second, queries=None) -> tuple:
     and carry prefix sums of the monomials, so the box is the difference of
     two prefixes. Each level builds only the blocks that some query takes.
 
+    A level is one pass of each kind over all its blocks and pieces: one
+    sort orders every block's draws by lambda, the prefix sums are added
+    draw by draw across the blocks, and a prefix row is searched for only
+    when the rank bound falls between the block's lowest and highest rank;
+    a bound at or below the lowest takes none of the block's draws and one
+    above the highest takes all of them.
+
     The tree depends on the draws alone, and a query's pieces at one level
     are added by one bincount in a fixed order, so its sums have the same
-    bits whichever other draws are queried.
+    bits whichever other draws are queried, and however the work is cut
+    into chunks.
 
     The monomials are taken about the block's own centre in both
     coordinates, in units of h, so every draw and query sits within 2 M of
@@ -510,106 +528,153 @@ def _double_kernel_moments(lam, z, h, kernel, second, queries=None) -> tuple:
     shift_grad = _shift_matrix(kernel._gradient_coeffs, dk).T
     shift_h = _shift_matrix(second.coeffs, dh).T
 
-    def powers(offsets, degree):
-        u = offsets / h
-        out = np.empty((degree + 1, u.size))
+    def powers(x, centre, degree):
+        """u^0 .. u^degree of u = (x - centre) / h, one power per row."""
+        out = np.empty((degree + 1,) + x.shape)
         out[0] = 1.0
-        for t in range(1, degree + 1):
-            np.multiply(out[t - 1], u, out=out[t])
-        return out.T
+        if degree:
+            np.subtract(x, centre, out=out[1])
+            out[1] /= h
+        for t in range(2, degree + 1):
+            np.multiply(out[t - 1], out[1], out=out[t])
+        return out
 
-    by_lam = np.argsort(lam, kind="stable")
+    # the lambda order with ties in index order; an unstable sort is several
+    # times faster and gives that order when no two lambdas are equal
+    by_lam = np.argsort(lam)
+    lam_sorted = lam[by_lam]
+    if np.any(lam_sorted[1:] == lam_sorted[:-1]):
+        by_lam = np.argsort(lam, kind="stable")
     lam_rank = np.empty(n, dtype=np.int64)
     lam_rank[by_lam] = np.arange(n)
-    rank_lo, rank_hi = _window_bounds(lam[by_lam], h, kernel.support_radius, lam_rank[asked])
+    rank_lo, rank_hi = _window_bounds(lam_sorted, h, kernel.support_radius, lam_rank[asked])
     z_lo, z_hi = _window_bounds(z, h, second.support_radius, asked)
 
+    # a pair of numbers up to n packs into one integer as a << bits | b
+    bits = n.bit_length()
+    low_bits = (1 << bits) - 1
     # slab numbers are monotone in lambda, so a window's slabs run from the
     # slab of its lowest-ranked member to that of its highest
-    cut = np.floor((lam - lam.min()) / (2.0 * kernel.support_radius * h))
-    slab = np.unique(cut, return_inverse=True)[1].astype(np.int64)
-    layout = np.sort(slab * n + np.arange(n))
-    draw_at = layout % n
-    slab_sorted = slab[by_lam]
+    cut = np.floor((lam_sorted - lam_sorted[0]) / (2.0 * kernel.support_radius * h))
+    slab_sorted = np.zeros(n, dtype=np.int64)
+    np.cumsum(cut[1:] != cut[:-1], out=slab_sorted[1:])
+    slab = np.empty(n, dtype=np.int64)
+    slab[by_lam] = slab_sorted
+    layout = np.sort(slab << bits | np.arange(n))
+    draw_at = layout & low_bits
     first_slab = slab_sorted[rank_lo]
     span = slab_sorted[rank_hi - 1] - first_slab + 1
     # one piece per (query, slab its lambda window meets)
     query = np.repeat(np.arange(asked.size), span)
     piece_slab = first_slab[query] + np.arange(query.size) - np.repeat(np.cumsum(span) - span, span)
-    left = np.searchsorted(layout, piece_slab * n + z_lo[query])
-    right = np.searchsorted(layout, piece_slab * n + z_hi[query])
+    left = np.searchsorted(layout, piece_slab << bits | z_lo[query])
+    right = np.searchsorted(layout, piece_slab << bits | z_hi[query])
+
+    # the lambda rank and the state of the draw at each layout position; the
+    # positions past the last draw, which pad the last block of a level,
+    # read rank n, which sorts after every rank, and a lambda and a state
+    # that make finite monomials
+    rank_at = np.append(lam_rank[draw_at], n)
+    z_at = z[draw_at]
+    lam_of = np.append(lam_sorted, lam_sorted[-1])
+    z_of = np.append(z[by_lam], z[0])
+    lam_q, z_q = lam[asked], z[asked]
+    # the levels read only what is left
+    del by_lam, lam_rank, lam_sorted, cut, slab, slab_sorted, layout, draw_at, piece_slab
 
     den, num = np.zeros(asked.size), np.zeros(asked.size)
     rows = max(1, _PAIR_BUDGET // width)
-    level = 0
-    while np.any(left < right):
+    for level in range(bits + 1):
         # a range [left, right) of blocks takes block left when left is odd
-        # and block right - 1 when right is odd, then halves to the next level
+        # and block right - 1 when right is odd, then halves to the next
+        # level; an empty range stays empty, and left & active is the
+        # lowest bit of left where the range is not
         active = left < right
-        take_left = np.flatnonzero(active & (left % 2 == 1))
-        take_right = np.flatnonzero(active & (right % 2 == 1))
+        if not active.any():
+            break
+        take_left = np.flatnonzero(left & active)
+        take_right = np.flatnonzero(right & active)
         taken = np.concatenate([take_left, take_right])
         node = np.concatenate([left[take_left], right[take_right] - 1])
+        left += 1
+        left >>= 1
+        right >>= 1
+        if not taken.size:
+            continue
         size = 1 << level
         # only the blocks that some piece takes are built, and node becomes
         # a block's place u among them; block u holds layout positions
-        # start[u] .. start[u] + count[u] - 1, fewer than size only at the
-        # end of the layout
-        built, node = np.unique(node, return_inverse=True)
-        start = built * size
-        count = np.minimum(start + size, n) - start
-        first = np.arange(built.size) * size
-        blocks = np.repeat(np.arange(built.size), count)
-        position = np.arange(blocks.size) + np.repeat(start - first, count)
-        # key encodes (block, lambda rank): the draws of each block in lambda order
-        key = np.sort(blocks * n + lam_rank[draw_at[position]])
-        members = by_lam[key % n]
-        last = first + count - 1
-        lam_c = 0.5 * (lam[members[first]] + lam[members[last]])
-        z_c = 0.5 * (z[draw_at[start]] + z[draw_at[start + count - 1]])
-        # exclusive prefix sums per block: block u owns rows u*(size+1) onward
-        prefix = np.zeros((built.size, size + 1, width))
-        flat = prefix.reshape(-1, width)
-        for a in range(0, blocks.size, rows):
-            m, b = members[a : a + rows], blocks[a : a + rows]
-            mono = powers(lam[m] - lam_c[b], dk)[:, :, None] * powers(z[m] - z_c[b], dh)[:, None, :]
-            flat[np.arange(a, a + m.size) + b + 1] = mono.reshape(-1, width)
-        if size < _COLUMN_BLOCK:
-            # the additions of np.cumsum, without its cost per tiny block
-            for t in range(size):
-                prefix[:, t + 1] += prefix[:, t]
+        # start[u] .. stop[u] - 1, fewer than size only at the end of the
+        # layout
+        built = np.zeros(((n - 1) >> level) + 1, dtype=bool)
+        built[node] = True
+        built = np.flatnonzero(built)
+        place = np.empty(((n - 1) >> level) + 1, dtype=np.int64)
+        place[built] = np.arange(built.size)
+        node = place[node]
+        blocks = built.size
+        start = built << level
+        stop = np.minimum(start + size, n)
+        # key packs (place, lambda rank): sorted, key[u * size :][:size]
+        # holds block u's draws in lambda order, padding last
+        key = np.take(rank_at, start[:, None] + np.arange(size), mode="clip")
+        key |= (np.arange(blocks) << bits)[:, None]
+        key = key.ravel()
+        key.sort()
+        rank = (key & low_bits).reshape(blocks, size)
+        count = stop - start
+        lowest, highest = rank[:, 0], rank[np.arange(blocks), count - 1]
+        lam_c = 0.5 * (lam_of[lowest] + lam_of[highest])
+        z_c = 0.5 * (z_at[start] + z_at[stop - 1])
+        # inclusive prefix sums of the monomials after a row of zeros: the
+        # prefix of block u's first t draws is row (t - 1) * blocks + u + 1,
+        # so the rows of draw t of every block are contiguous
+        flat = np.empty((1 + rank.size, width))
+        flat[0] = 0.0
+        prefix = flat[1:].reshape(size, blocks, width)
+        down, across = max(1, rows // blocks), min(blocks, rows)
+        for t in range(0, size, down):
+            for u in range(0, blocks, across):
+                r = rank[u : u + across, t : t + down].T
+                lam_pow = powers(lam_of[r], lam_c[u : u + across], dk)
+                z_pow = powers(z_of[r], z_c[u : u + across], dh)
+                mono = (lam_pow[:, None] * z_pow[None, :]).reshape((width,) + r.shape)
+                prefix[t : t + down, u : u + across] = np.moveaxis(mono, 0, -1)
+        if blocks * width >= _PREFIX_ROW:
+            # the additions of np.cumsum, a row of every block at a time
+            for t in range(1, size):
+                prefix[t] += prefix[t - 1]
         else:
-            np.cumsum(prefix, axis=1, out=prefix)
-        # a rank bound at or below a block's lowest rank falls on its first
-        # row and one above its highest on its last, so only the bounds in
-        # between are searched for
-        base = np.arange(built.size) * n
-        lowest, highest = key[first] - base, key[last] - base
+            np.cumsum(prefix, axis=0, out=prefix)
+        last = (count - 1) * blocks + np.arange(blocks) + 1
 
-        def prefix_row(k, rank):
-            row = np.where(rank <= lowest[k], first[k], first[k] + count[k])
-            inside = np.flatnonzero((rank > lowest[k]) & (rank <= highest[k]))
-            row[inside] = np.searchsorted(key, k[inside] * n + rank[inside])
-            return row + k
+        def prefix_row(rank, low, high, end, k):
+            # the row of the prefix below rank bound ``rank`` in block k
+            below = rank <= low
+            row = np.where(below, 0, end)
+            inside = np.flatnonzero(~below & (rank <= high))
+            k = k[inside]
+            count = np.searchsorted(key, k << bits | rank[inside]) - (k << level)
+            row[inside] = (count - 1) * blocks + k + 1
+            return row
 
         piece_den, piece_num = np.empty(taken.size), np.empty(taken.size)
+        owner = query[taken]
         for a in range(0, taken.size, rows):
-            i, k = query[taken[a : a + rows]], node[a : a + rows]
-            q = asked[i]
-            lo_rows, hi_rows = prefix_row(k, rank_lo[i]), prefix_row(k, rank_hi[i])
-            box = (flat[hi_rows] - flat[lo_rows]).reshape(-1, dk + 1, dh + 1)
-            inner = np.einsum("isr,ir->is", box, powers(z[q] - z_c[k], dh) @ shift_h)
-            lam_pow = powers(lam[q] - lam_c[k], dk)
-            piece_den[a : a + rows] = np.einsum("is,is->i", lam_pow @ shift_k, inner)
-            piece_num[a : a + rows] = np.einsum("is,is->i", lam_pow @ shift_grad, inner)
+            i, k = owner[a : a + rows], node[a : a + rows]
+            low, high, end = lowest[k], highest[k], last[k]
+            box = np.take(flat, prefix_row(rank_hi[i], low, high, end, k), axis=0)
+            box -= np.take(flat, prefix_row(rank_lo[i], low, high, end, k), axis=0)
+            z_pow = _row_products(powers(z_q[i], z_c[k], dh).T, shift_h)
+            inner = np.einsum("isr,ir->is", box.reshape(-1, dk + 1, dh + 1), z_pow)
+            lam_pow = powers(lam_q[i], lam_c[k], dk).T
+            piece_den[a : a + rows] = np.einsum("is,is->i", _row_products(lam_pow, shift_k), inner)
+            piece_num[a : a + rows] = np.einsum("is,is->i", _row_products(lam_pow, shift_grad), inner)
         # one bincount per level, so a query's pieces are added in one order
-        den += np.bincount(query[taken], piece_den, asked.size)
-        num += np.bincount(query[taken], piece_num, asked.size)
-        left[take_left] += 1
-        right[take_right] -= 1
-        left >>= 1
-        right >>= 1
-        level += 1
+        den += np.bincount(owner, piece_den, asked.size)
+        num += np.bincount(owner, piece_num, asked.size)
+        # freed before the next level allocates its own
+        del flat, prefix, key, rank
     return den, num
 
 

@@ -1,5 +1,6 @@
 """Unit tests of the delta estimators on hand-checkable sample sets."""
 
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -30,6 +31,7 @@ from kernelgreeks import (
     uniform_randomizer,
     vanilla_call,
 )
+from kernelgreeks import estimators
 from kernelgreeks.errors import (
     DegenerateBandwidth,
     DegenerateBump,
@@ -448,6 +450,71 @@ def test_double_kernel_estimates_keep_their_bits(family):
             assert [v.hex() for v in got] == [v.hex() for v in want]
         else:
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def _sha256(*arrays) -> str:
+    return hashlib.sha256(b"".join(np.asarray(a, dtype="<f8").tobytes() for a in arrays)).hexdigest()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_double_kernel_benchmark_round_keeps_its_bits(workers):
+    # perfbench's double_kernel round 0 at --seed 1: digital call, automatic
+    # h, N = 1e4, R = 2, seed 1000; the digest its output line prints
+    cfg = ExperimentConfig(model=PAPER, payoff=digital_call(120.0), estimator_id="double",
+                           n_samples=10_000, replications=2, seed=1000)
+    got = run_replications(cfg, workers=workers).estimates
+    assert _sha256(got) == "eaa3c6e8793023c1a6fee078a3d7f54b1980c3da670865c8eaa27194ac2fcea3"
+
+
+def _moment_args(family, n=4000, seed=28):
+    """Draws sorted by state, and every third one queried."""
+    kernel = builtin_kernel(family)
+    s = make_samples(np.random.default_rng(seed), n, randomizer=uniform_randomizer(20.0))
+    order = np.argsort(s.states, kind="stable")
+    return s.lambdas[order], s.states[order], 10.0, kernel, kernel, np.arange(0, n, 3)
+
+
+@pytest.mark.parametrize("family", ["p2", "p4", "p6"])
+def test_double_kernel_moments_keep_their_bits_across_chunks(family, monkeypatch):
+    # a budget of 2^9 + 7 elements ends chunks inside blocks and inside
+    # levels; a query's sums must not depend on where they end
+    args = _moment_args(family)
+    want = _double_kernel_moments(*args)
+    monkeypatch.setattr(estimators, "_PAIR_BUDGET", 2**9 + 7)
+    assert _sha256(*_double_kernel_moments(*args)) == _sha256(*want)
+
+
+@pytest.mark.parametrize(
+    "family, digest",
+    [("p2", "a1e4e56063123d8b629b7f53a2b6ae62da3ac6be7f2327a4e9d779092709ec3e"),
+     ("p6", "a5836ebf775f89cf11354ab0566840df1e4c64ee66f1151180af694e92b37b10")],
+)
+def test_double_kernel_moments_order_tied_lambdas_by_index(family, digest):
+    # 600 draws on 33 lambdas: the prefix sums add tied draws in index order,
+    # as a stable sort leaves them, whatever sort finds the lambda order;
+    # the digests were taken when the lambdas were always stably sorted
+    rng = np.random.default_rng(27)
+    lam = 120.0 - 0.5 * rng.integers(-16, 17, 600)
+    z = np.sort(simulate_terminal(PAPER, rng.standard_normal(600), spot=lam))
+    kernel = builtin_kernel(family)
+    assert _sha256(*_double_kernel_moments(lam, z, 4.0, kernel, kernel)) == digest
+
+
+def test_double_kernel_memory_per_draw_is_bounded():
+    # one call at N = 200,000 on the digital call (p2, h = 14.37, epsilon =
+    # 2h): the estimator's arrays, its merge-sort tree's largest level and
+    # one chunk of window sums
+    n, h = 200_000, 14.37
+    r = uniform_randomizer(2.0 * h)
+    s = make_samples(np.random.default_rng(29), n, randomizer=r)
+    cfg = EstimatorConfig(kernel=K2, bandwidth=h, randomizer=r, second_kernel=K2)
+    tracemalloc.start()
+    try:
+        estimate_double_kernel(s, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * 8 * n
 
 
 def _with_far_draw(rng, payoff, offset):
