@@ -20,7 +20,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
+import os
 import sys
+from pathlib import Path
 
 from .errors import KernelGreeksError
 from .export import (
@@ -157,9 +160,6 @@ def _build_config(ns, estimator_id: str, n: int) -> ExperimentConfig:
         raise ValueError(f"unknown estimator {estimator_id!r}")
     if ns.asian_steps > 0 and estimator_id == "lr":
         raise ValueError("the lr estimator needs the terminal state (drop --asian-steps)")
-    bandwidth = _bandwidth_value(ns)
-    if estimator_id not in KERNEL_ESTIMATORS and bandwidth == "auto":
-        bandwidth = 1.0  # unused by lr/fd, but the config requires a value
     model = GbmParams(
         spot=ns.model_spot,
         rate=ns.model_rate,
@@ -174,7 +174,7 @@ def _build_config(ns, estimator_id: str, n: int) -> ExperimentConfig:
         estimator_id=estimator_id,
         asian=asian,
         kernel_family=ns.kernel,
-        bandwidth=bandwidth,
+        bandwidth=_bandwidth_value(ns),
         theta=ns.theta,
         n_samples=n,
         replications=ns.reps,
@@ -192,8 +192,19 @@ def _experiment_config(ns, parser, estimator_id: str, n: int) -> ExperimentConfi
         parser.error(str(exc))
 
 
+def _check_out(path) -> None:
+    """Before any work, raise the OSError that writing the file ``path``
+    would raise for a missing directory or a directory in its place."""
+    path = Path(path)
+    if path.is_dir() or not path.parent.is_dir():
+        code = errno.EISDIR if path.is_dir() else errno.ENOENT
+        raise OSError(code, os.strerror(code), str(path))
+
+
 def _cmd_estimate(ns, parser) -> int:
     cfg = _experiment_config(ns, parser, ns.estimator, _single_n(ns, parser))
+    if ns.out:
+        _check_out(ns.out)
     result = run_replications(cfg)
     ref, source = reference_value(cfg)
     summary = summarize(result.estimates, ref, source)
@@ -236,6 +247,7 @@ def _cmd_sweep(ns, parser) -> int:
         parser.error("sweep needs --out for the rate CSV")
     grid = _n_grid(ns, parser)
     cfg = _experiment_config(ns, parser, ns.estimator, grid[0])
+    _check_out(ns.out)
     fit = convergence_rate_fit(cfg, grid)
     out = write_rate_csv(ns.out, fit)
     mapping = {"command": "sweep", **config_mapping(cfg), "n": ",".join(map(str, grid))}
@@ -253,6 +265,7 @@ def _cmd_compare(ns, parser) -> int:
     n = _single_n(ns, parser)
     # every config is built, and the first invalid one reported, before any work
     cfgs = [_experiment_config(ns, parser, estimator_id, n) for estimator_id in ids]
+    _check_out(ns.out)
     common = CommonRun(cfgs)
     rows = []
     reference = source = None
@@ -294,7 +307,7 @@ def main(argv=None) -> int:
             at = argv.index(ns.command)
             ns = parser.parse_args(argv[: at + 1] + injected + argv[at + 1 :])
         return _COMMANDS[ns.command](ns, parser)
-    except KernelGreeksError as exc:
+    except (KernelGreeksError, OSError) as exc:  # OSError: an output that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,12 +11,12 @@ Estimator menu
   ``estimate_uniform_opt`` / ``estimate_exponential_opt``: entry points
   to one formula, sum phi(Z_i) (K'(u_i) + theta h K(u_i)) / (ell(0) N h^2)
   with u_i = (lambda0 - Lambda_i) / h, built and checked by
-  :func:`_formula`. hat and check read theta from the randomizer, whose
-  log-density gradient is constant on the support for both families, so
-  the two agree bit for bit; uniform and exponential couple the support
-  to the kernel window, epsilon = M h, and uniform is theta = 0. A
-  formula depends only on the randomizer and h, so at the uniform
-  randomizer hat, check and uniform are one formula, which reads no K(u).
+  :func:`_formula`. The randomizers form one tilted exponential family
+  whose log-density gradient theta is constant on the support; theta = 0
+  is the uniform randomizer. hat and check read theta from the randomizer,
+  so they agree bit for bit; uniform (theta = 0) and exponential couple
+  the support to the kernel window, epsilon = M h. A formula depends only
+  on epsilon, theta and h, so at theta = 0 they are one, reading no K(u).
 - ``estimate_double_kernel``: plugs a leave-one-out kernel estimate of
   the score into the localized regression; needs a second kernel acting
   in the state dimension.
@@ -179,8 +179,7 @@ def _resolve_randomizer(gen: Randomizer | None, given: Randomizer | None) -> Ran
     if cand is None:
         raise RandomizerMismatch("no randomizer available on the config or the sample set")
     if gen is not None and (
-        gen.kind != cand.kind
-        or abs(gen.epsilon - cand.epsilon) > 1e-12 * max(1.0, gen.epsilon)
+        abs(gen.epsilon - cand.epsilon) > 1e-12 * max(1.0, gen.epsilon)
         or abs(gen.theta - cand.theta) > 1e-12 * max(1.0, abs(gen.theta))
     ):
         raise RandomizerMismatch(
@@ -262,14 +261,14 @@ def _formula(
     check fails.
 
     Each estimator decides a randomizer r, and its formula is
-    ``_KernelSum(h, r.theta * h, r.density_at_zero())``, so it depends on r
-    and h alone. hat and check take ``randomizer`` when given, else
-    ``gen``, and check the ``offsets`` lambda0 - Lambda_i against its
-    support when no ``gen`` did; their tilt is theta_r, the log-density
-    gradient, which is constant on the support. uniform and exponential
-    couple the support to the kernel window, epsilon = M h, or take gen's
-    epsilon if it covers the window; uniform is theta = 0, and exponential
-    takes the tilt ``theta``, else gen's.
+    ``_KernelSum(h, r.theta * h, r.density_at_zero())``, so it depends on
+    r's epsilon and theta (0 for the uniform randomizer) and on h alone.
+    hat and check take ``randomizer`` when given, else ``gen``, and check
+    the ``offsets`` lambda0 - Lambda_i against its support when no ``gen``
+    did; their tilt is theta_r, the log-density gradient. uniform and
+    exponential couple the support to the kernel window, epsilon = M h, or
+    take gen's epsilon if it covers it; uniform is theta = 0, exponential
+    takes ``theta``, else gen's, and either must agree with gen's tilt.
     """
     h = _require_bandwidth(bandwidth)
     if eid in ("hat", "check"):
@@ -277,28 +276,22 @@ def _formula(
         if gen is None:  # no generating randomizer checked these draws
             _require_support(offsets, r)
         return _KernelSum(h, r.theta * h, r.density_at_zero())
-    kind = "uniform"
-    if eid == "exponential":
-        if theta is None:
-            if gen is None:
-                raise RandomizerMismatch("theta not given and the sample set carries no randomizer")
-            theta = gen.theta
-        if gen is None or gen.kind != "uniform":
-            kind = "truncexp"
-        elif theta != 0.0:
-            raise RandomizerMismatch("uniform samples require theta = 0")
-        if gen is not None and abs(gen.theta - theta) > 1e-12 * max(1.0, abs(theta)):
-            raise RandomizerMismatch(f"theta {theta} disagrees with the generating tilt {gen.theta}")
+    if eid == "uniform":
+        theta = 0.0
+    elif theta is None:
+        if gen is None:
+            raise RandomizerMismatch("theta not given and the sample set carries no randomizer")
+        theta = gen.theta
     eps = kernel.support_radius * h
     if gen is not None:
-        if gen.kind != kind:
-            raise RandomizerMismatch(f"samples were drawn with {gen.kind!r}, estimator wants {kind!r}")
+        if abs(gen.theta - theta) > 1e-12 * max(1.0, abs(theta)):
+            raise RandomizerMismatch(f"theta {theta} disagrees with the generating tilt {gen.theta}")
         if gen.epsilon < eps * (1.0 - 1e-12):
             raise RandomizerMismatch(
                 f"generating epsilon {gen.epsilon} is below the kernel window {eps}"
             )
         eps = gen.epsilon
-    r = Randomizer(kind, eps, theta if eid == "exponential" else 0.0)
+    r = Randomizer("truncexp" if theta else "uniform", eps, theta)
     return _KernelSum(h, r.theta * h, r.density_at_zero())
 
 
@@ -384,12 +377,12 @@ def _double_kernel(samples: SampleSet, config: EstimatorConfig, pair_sums) -> tu
     r = _resolve_randomizer(samples.randomizer, config.randomizer)
     n = samples.n
 
-    order = np.argsort(samples.states, kind="stable")
+    order, z = _sorted_order(samples.states)
     lam = samples.lambdas[order]
-    z = samples.states[order]
     phi = samples.payoffs[order]
     offsets = samples.lambda0 - lam
-    grad_log = r.grad_log_density(offsets)  # raises unless every offset is in the support
+    if samples.randomizer is None:  # no generating randomizer checked these draws
+        _require_support(offsets, r)
     weights = kernel(offsets / h)
     # a draw with a non-finite parameter or state is in no kernel window,
     # not even its own, and is dropped; of the others, only those whose term
@@ -407,7 +400,8 @@ def _double_kernel(samples: SampleSet, config: EstimatorConfig, pair_sums) -> tu
 
     keep = den >= DENSITY_FLOOR_SCALE / (h * h)
     kept = np.flatnonzero(asked)[keep]
-    score_hat = num[keep] / den[keep] + grad_log[kept]
+    # the log-density gradient is theta on the support
+    score_hat = num[keep] / den[keep] + r.theta
     # every term at its draw's place, so the sum adds them in the order of
     # a sum over all draws
     terms = np.zeros(n)
@@ -415,6 +409,18 @@ def _double_kernel(samples: SampleSet, config: EstimatorConfig, pair_sums) -> tu
     value = float(np.sum(terms)) / (r.density_at_zero() * n * h)
     dropped = n - np.count_nonzero(finite) + den.size - kept.size
     return Estimate(float(_finite(value, "double")), n, "double"), int(dropped)
+
+
+def _sorted_order(x: np.ndarray) -> tuple:
+    """The indices that sort x with ties in index order, and x sorted. An
+    unstable sort is several times faster and gives that order unless two
+    values are equal or NaN, which never compares equal and sorts last."""
+    order = np.argsort(x)
+    ordered = x[order]
+    if np.isnan(ordered[-1]) or np.any(ordered[1:] == ordered[:-1]):
+        order = np.argsort(x, kind="stable")
+        ordered = x[order]
+    return order, ordered
 
 
 def _window_bounds(x: np.ndarray, h: float, radius: float, at: np.ndarray) -> tuple:
@@ -539,12 +545,7 @@ def _double_kernel_moments(lam, z, h, kernel, second, queries=None) -> tuple:
             np.multiply(out[t - 1], out[1], out=out[t])
         return out
 
-    # the lambda order with ties in index order; an unstable sort is several
-    # times faster and gives that order when no two lambdas are equal
-    by_lam = np.argsort(lam)
-    lam_sorted = lam[by_lam]
-    if np.any(lam_sorted[1:] == lam_sorted[:-1]):
-        by_lam = np.argsort(lam, kind="stable")
+    by_lam, lam_sorted = _sorted_order(lam)
     lam_rank = np.empty(n, dtype=np.int64)
     lam_rank[by_lam] = np.arange(n)
     rank_lo, rank_hi = _window_bounds(lam_sorted, h, kernel.support_radius, lam_rank[asked])

@@ -14,6 +14,7 @@ import math
 import os
 import queue
 import time
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -110,10 +111,11 @@ class ExperimentConfig:
     """One replication study, fully determined together with the seed.
 
     ``bandwidth`` is either the string "auto" (run the pilot pipeline
-    before the main run) or a fixed positive value. ``theta`` is the
-    exponential tilt; None lets the pilot optimize it in auto mode and
-    means 0 otherwise. The randomizer follows from the estimator and
-    theta (:attr:`effective_randomizer_kind`).
+    before the main run) or a fixed positive value; lr and fd have no
+    bandwidth and ignore it. ``theta`` is the randomizer's tilt, and
+    theta = 0 is the uniform randomizer: None lets the pilot optimize it
+    for the exponential estimator in auto mode and means 0 otherwise, and
+    the uniform estimator refuses a nonzero one.
     """
 
     model: GbmParams
@@ -142,8 +144,6 @@ class ExperimentConfig:
         if isinstance(self.bandwidth, str):
             if self.bandwidth != "auto":
                 raise ValueError("bandwidth must be 'auto' or a positive number")
-            if self.estimator_id not in KERNEL_ESTIMATORS:
-                raise ValueError("automatic bandwidth needs a kernel estimator")
         elif not 0.0 < self.bandwidth < math.inf:
             raise ValueError(f"fixed bandwidth must be positive and finite, got {self.bandwidth!r}")
         for name in ("theta", "fd_alpha", "fd_eps"):
@@ -155,17 +155,6 @@ class ExperimentConfig:
                 raise ValueError("antithetic pairing applies to kernel estimators only")
             if self.n_samples % 2:
                 raise ValueError("antithetic pairing needs an even n_samples")
-
-    @property
-    def effective_randomizer_kind(self) -> str:
-        """The tilted family "truncexp" for the exponential estimator and
-        whenever theta is given, 0.0 included, except for the uniform
-        estimator; "uniform" otherwise."""
-        if self.estimator_id == "exponential" or (
-            self.theta is not None and self.estimator_id != "uniform"
-        ):
-            return "truncexp"
-        return "uniform"
 
 
 @dataclass(frozen=True)
@@ -210,8 +199,9 @@ class RateFit:
 
 @dataclass(frozen=True)
 class _RunPlan:
-    """A run's resolved parameters; ``formula`` is the checked formula of a
-    single-kernel estimator (hat, check, uniform, exponential)."""
+    """A run's resolved parameters: ``formula`` is the checked formula of a
+    single-kernel estimator, and ``finish(total, n)`` a row's estimate
+    from its sums over n draws."""
 
     kernel: Kernel | None
     second_kernel: Kernel | None
@@ -220,6 +210,7 @@ class _RunPlan:
     randomizer: Randomizer | None
     pilot: PilotEstimates | None
     choice: BandwidthChoice | None
+    finish: Callable
     formula: _KernelSum | None = None
 
 
@@ -233,49 +224,54 @@ def _pilot_states(cfg: ExperimentConfig, rng: np.random.Generator, n: int) -> np
 
 
 def resolve_run(cfg: ExperimentConfig, stream_base: int = 0) -> _RunPlan:
-    """Fix kernel, bandwidth, tilt, randomizer and, for a single-kernel
-    estimator, its checked formula before replicating.
+    """Fix kernel, bandwidth, tilt, randomizer, a single-kernel formula
+    and the finish of the estimator before replicating.
 
     This is the one place where a run's plan is decided: the replications
     read it and check only their draws. Automatic bandwidth runs the pilot
     pipeline once, on its own stream, so every replication sees the same
-    resolved parameters; the pilot tunes theta unless it is given or the
-    randomizer is uniform. A bandwidth that is not positive and finite
-    raises DegenerateBandwidth, and a failed check of the formula its
+    resolved parameters; the pilot tunes theta for exponential unless it
+    is given. theta = 0 is the uniform randomizer, the only one of the
+    uniform estimator. A bandwidth that is not positive and finite raises
+    DegenerateBandwidth, and a failed check of the formula its
     estimator's error.
     """
-    if cfg.estimator_id not in KERNEL_ESTIMATORS:
-        return _RunPlan(None, None, None, None, None, None, None)
+    eid = cfg.estimator_id
+    if eid in ("lr", "fd"):
+        # fd's estimate is the average difference over the bump
+        bump = cfg.fd_eps if eid == "fd" else 1.0
+        return _RunPlan(None, None, None, None, None, None, None, lambda total, n: total / n / bump)
     kernel = builtin_kernel(cfg.kernel_family)
-    kind = cfg.effective_randomizer_kind
-    if kind == "uniform" and cfg.theta not in (None, 0.0):
+    if eid == "uniform" and cfg.theta not in (None, 0.0):
         raise RandomizerMismatch("a uniform randomizer cannot carry a tilt")
+    # None lets the pilot tune theta for exponential, and means 0 otherwise
+    theta = 0.0 if cfg.theta is None and eid != "exponential" else cfg.theta
     pilot = choice = None
     if cfg.bandwidth == "auto":
         rng = stream(cfg.seed, stream_base + PILOT_OFFSET)
         states = _pilot_states(cfg, rng, PILOT_N)
-        theta_arg = 0.0 if kind == "uniform" else cfg.theta
-        pilot, choice = select_bandwidth(
-            states, cfg.payoff, cfg.model.spot, kernel, cfg.n_samples, theta=theta_arg
-        )
+        pilot, choice = select_bandwidth(states, cfg.payoff, cfg.model.spot, kernel,
+                                         cfg.n_samples, theta=0.0 if eid == "uniform" else theta)
         h, theta = choice.h_star, choice.theta_star
     else:
         h = float(cfg.bandwidth)
-        theta = 0.0 if cfg.theta is None else float(cfg.theta)
+        theta = 0.0 if theta is None else float(theta)
     h = _require_bandwidth(h)
     epsilon = kernel.support_radius * h
-    if cfg.estimator_id == "double":
+    if eid == "double":
         # the leave-one-out density windows must stay inside the offset
         # support: with epsilon = M*h the support edge cuts through every
         # window and the estimated score picks up the smeared edge jump
         # (an O(1/h) ridge) instead of the model score. One extra kernel
         # radius keeps the windows of all outer-weighted draws clear.
         epsilon *= 2.0
-    randomizer = Randomizer(kind=kind, epsilon=epsilon, theta=theta)
-    if cfg.estimator_id == "double":
-        return _RunPlan(kernel, kernel, h, theta, randomizer, pilot, choice)
-    formula = _formula(cfg.estimator_id, randomizer, kernel, h, theta=theta)
-    return _RunPlan(kernel, None, h, theta, randomizer, pilot, choice, formula)
+    randomizer = Randomizer("truncexp" if theta else "uniform", epsilon, theta)
+    if eid == "double":
+        # the estimates need no finishing
+        return _RunPlan(kernel, kernel, h, theta, randomizer, pilot, choice,
+                        lambda total, n: total)
+    formula = _formula(eid, randomizer, kernel, h, theta=theta)
+    return _RunPlan(kernel, None, h, theta, randomizer, pilot, choice, formula.finish, formula)
 
 
 def _draws_per_row(cfg: ExperimentConfig) -> int:
@@ -365,27 +361,25 @@ def _evaluate_block(members, first_id: int, gens, draws, unit) -> list:
     uniforms into ``draws[1]``, and a lone group in their place. fd, then
     lr, read the unit-spot states last. Each member keeps its leaf sums,
     direct and mirrored apart under antithetic pairing; they are added up
-    numpy's summation tree and finished with the row's N in the same
-    operation order as a lone replication, so the estimates are the same
-    bits. A failed check stops the members it concerns for the whole block.
+    numpy's summation tree and finished by its plan with the row's N in the
+    same operation order as a lone replication, so the estimates are the
+    same bits. A failed check stops the members it concerns for the whole block.
     """
     cfg = members[0][0]
     spot, m, rows = cfg.model.spot, _draws_per_row(cfg), unit.shape[0]
     limit = _row_limit(members)
     leaves = _tree_leaves(m, limit)
     outcomes = [None] * len(members)
-    # member -> the function that finishes its sums, and its sums per leaf:
-    # a list of one array, or of two under antithetic pairing
-    finishes = [None] * len(members)
+    # member -> its sums per leaf: a list of one array, or of two under
+    # antithetic pairing
     sums = [[] for _ in members]
 
     def keep(i: int, value) -> None:
-        """Record member i's error, or its (finish, sum) of each pairing side."""
+        """Record member i's error, or its sums of each pairing side."""
         if isinstance(value, Exception):
             outcomes[i] = value
         else:
-            finishes[i] = value[0][0]
-            sums[i].append([total for _, total in value])
+            sums[i].append(value)
 
     groups, plain = {}, []
     for i, (c, p) in enumerate(members):
@@ -439,13 +433,12 @@ def _evaluate_block(members, first_id: int, gens, draws, unit) -> list:
                 keep(i, v)
         live = [i for i in plain if outcomes[i] is None]
         for pos, i in enumerate(live):
-            c = members[i][0]
-            total = _attempt(_noise_sum, c, z, pos == len(live) - 1)
-            keep(i, total if isinstance(total, Exception) else [(_noise_finish(c), total)])
-    for i, (c, _) in enumerate(members):
+            total = _attempt(_noise_sum, members[i][0], z, pos == len(live) - 1)
+            keep(i, total if isinstance(total, Exception) else [total])
+    for i, (c, p) in enumerate(members):
         if outcomes[i] is None:
             totals = [_tree_add(m, limit, iter(side)) for side in zip(*sums[i])]
-            outcomes[i] = _attempt(_finished, c.estimator_id, finishes[i], totals, m)
+            outcomes[i] = _attempt(_finished, c.estimator_id, p.finish, totals, m)
     return outcomes
 
 
@@ -471,13 +464,6 @@ def _paired(rows_of, members, lams, mirrored, unit) -> list:
     return values
 
 
-def _noise_finish(cfg: ExperimentConfig):
-    """The lr or fd estimates of rows of n draws from their sums."""
-    if cfg.estimator_id == "fd":
-        return lambda total, n: total / n / cfg.fd_eps
-    return lambda total, n: total / n
-
-
 def _noise_sum(cfg: ExperimentConfig, unit, consume: bool) -> np.ndarray:
     """The lr or fd sums of the unit-spot states ``unit``, one per row;
     with ``consume``, lr overwrites ``unit`` with its states."""
@@ -492,9 +478,8 @@ def _noise_sum(cfg: ExperimentConfig, unit, consume: bool) -> np.ndarray:
 
 def _kernel_rows(members, lams, unit) -> list:
     """Each member's single-kernel sums of the draws at spots ``lams``, one
-    per row, with the function that finishes them (its plan's
-    :meth:`_KernelSum.finish`), or the exception that stopped it; the
-    members share randomizer and payoff. ``lams`` serves as scratch and is
+    per row, or the exception that stopped it; the members share
+    randomizer and payoff. ``lams`` serves as scratch and is
     overwritten.
 
     Offsets, states, payoffs and the support check of the draws serve
@@ -522,14 +507,14 @@ def _kernel_rows(members, lams, unit) -> list:
         u = offsets if g == len(groups) - 1 else None
         total = _attempt(_kernel_sums, p.kernel, p.formula, payoffs, offsets, u)
         for i in idx:
-            outcomes[i] = total if isinstance(total, Exception) else (p.formula.finish, total)
+            outcomes[i] = total
     return outcomes
 
 
 def _double_rows(members, lams, unit) -> list:
     """Each double-kernel member's estimates of the draws at spots ``lams``,
-    one per row, with a finish that keeps them as they are, or the exception
-    that stopped it; the members share randomizer and payoff. The estimator
+    one per row, or the exception that stopped it; the members share
+    randomizer and payoff. The estimator
     does not reduce row by row, so each row runs through
     :func:`estimate_double_kernel` on its own, and its rows are whole
     (:func:`_row_limit`)."""
@@ -538,10 +523,9 @@ def _double_rows(members, lams, unit) -> list:
     states = np.multiply(lams, unit)
     payoffs = cfg.payoff(states)
 
-    def rows(plan: _RunPlan) -> tuple:
+    def rows(plan: _RunPlan) -> np.ndarray:
         ec = EstimatorConfig(plan.kernel, plan.h, plan.randomizer, plan.second_kernel)
-        # the estimates need no finishing
-        return (lambda total, n: total), np.array([
+        return np.array([
             estimate_double_kernel(SampleSet(cfg.model.spot, *row, plan.randomizer, kind), ec).value
             for row in zip(lams, states, payoffs)
         ])

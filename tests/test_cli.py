@@ -443,6 +443,52 @@ def test_compare_sidecar_replays_directly(tmp_path, capsys):
             tmp_path / f"b.kde.{eid}.csv").read_bytes()
 
 
+def test_lr_first_compare_sidecar_replays_byte_for_byte(tmp_path, capsys):
+    # lr has no bandwidth, so the sidecar keeps "auto" for uniform after it
+    first = tmp_path / "a.csv"
+    argv = ["--estimator", "lr,uniform", "--n", "2000", "--reps", "10", "--seed", "3"]
+    assert run_cli("compare", *argv, "--out", str(first)) == 0
+    printed = capsys.readouterr().out
+    assert json.loads((tmp_path / "a.config.json").read_text())["bandwidth"] == "auto"
+    second = tmp_path / "b.csv"
+    assert run_cli("compare", "--config", str(tmp_path / "a.config.json"), "--out", str(second)) == 0
+    assert capsys.readouterr().out == printed
+    assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--n", "2000", "--reps", "3"],
+    ["sweep", "--n", "100,300,1000,10000", "--reps", "3"],
+    ["compare", "--estimator", "uniform,lr", "--n", "1000", "--reps", "12"],
+])
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_unwritable_out_fails_before_any_work(tmp_path, capsys, monkeypatch, argv, where):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command started work before checking --out")
+
+    for module in (cli, harness):
+        monkeypatch.setattr(module, "run_replications", no_work)
+        monkeypatch.setattr(module, "resolve_run", no_work)
+        monkeypatch.setattr(module, "reference_value", no_work)
+    out = tmp_path / "missing" / "o.csv" if where == "missing directory" else tmp_path
+    assert run_cli(*argv, "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: [Errno ") and err[0].endswith(f"'{out}'")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_failed_write_ends_in_one_error_line(tmp_path, capsys):
+    # a directory in the place of a KDE file fails only when it is written
+    (tmp_path / "o.kde.uniform.csv").mkdir()
+    code = run_cli("compare", "--estimator", "uniform", "--n", "1000", "--reps", "10",
+                   "--out", str(tmp_path / "o.csv"))
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: [Errno ") and "o.kde.uniform.csv" in err[0]
+
+
 def test_config_file_errors_end_in_one_error_line(tmp_path, capsys):
     no_equals = tmp_path / "bad.cfg"
     no_equals.write_text("seed 99\n")

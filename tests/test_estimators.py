@@ -215,6 +215,18 @@ def test_exponential_opt_rejects_mismatched_tilt():
         estimate_exponential_opt(uni, K2, 5.0, theta=0.7)
 
 
+def test_uniform_opt_reads_samples_of_the_zero_tilt():
+    # theta = 0 is the uniform randomizer: the same uniforms give the same
+    # draws and the uniform estimator the same bits
+    uni = make_samples(np.random.default_rng(7), 300, randomizer=uniform_randomizer(6.0))
+    flat = make_samples(np.random.default_rng(7), 300, randomizer=truncexp_randomizer(6.0, 0.0))
+    assert flat.lambdas.tobytes() == uni.lambdas.tobytes()
+    assert estimate_uniform_opt(flat, K2, 6.0).value == estimate_uniform_opt(uni, K2, 6.0).value
+    tilted = make_samples(np.random.default_rng(7), 300, randomizer=truncexp_randomizer(6.0, 0.1))
+    with pytest.raises(RandomizerMismatch):
+        estimate_uniform_opt(tilted, K2, 6.0)
+
+
 def test_opt_estimators_reject_narrow_support():
     rng = np.random.default_rng(6)
     s = make_samples(rng, 50, randomizer=uniform_randomizer(2.0))
@@ -579,6 +591,69 @@ def test_double_kernel_rejects_draws_that_are_all_non_finite():
     cfg = EstimatorConfig(kernel=K2, bandwidth=4.0, second_kernel=K2)
     with pytest.raises(NonFiniteEstimate):
         estimate_double_kernel(s, cfg)
+
+
+@pytest.mark.parametrize("family, want", [("p2", "0x1.48a4a985e0a09p-6"),
+                                          ("p6", "-0x1.31186cd761ee1p-6")])
+def test_double_kernel_orders_tied_and_nan_states_by_index(family, want):
+    # 588 finite states on 199 values and 12 NaN states: ties and NaNs in
+    # index order, as a stable sort leaves them; the values were taken when
+    # the states were always stably sorted
+    rng = np.random.default_rng(32)
+    r = uniform_randomizer(16.0)
+    lam = 120.0 - r.sample_offsets(rng.random(600))
+    z = np.round(simulate_terminal(PAPER, rng.standard_normal(600), spot=lam) * 2.0) / 2.0
+    z[::50] = np.nan
+    kernel = builtin_kernel(family)
+    s = SampleSet(120.0, lam, z, digital_call(120.0)(z), randomizer=r)
+    cfg = EstimatorConfig(kernel=kernel, bandwidth=8.0, second_kernel=kernel)
+    assert estimate_double_kernel(s, cfg).value.hex() == want
+
+
+def test_sorted_order_puts_ties_and_nans_in_index_order():
+    tied = np.array([3.0, np.nan, 1.0, 3.0, np.nan, -np.inf, 1.0, np.nan, np.inf, np.inf])
+    one_nan = np.array([2.0, np.nan, -1.0, 0.5])
+    distinct = np.random.default_rng(31).standard_normal(1000)
+    # distinct values and 100 NaNs, which an unstable sort may reorder
+    nans = distinct.copy()
+    nans[np.random.default_rng(34).choice(1000, 100, replace=False)] = np.nan
+    for x in (tied, one_nan, distinct, nans, np.array([7.0])):
+        order, ordered = estimators._sorted_order(x)
+        want = np.argsort(x, kind="stable")
+        assert order.tolist() == want.tolist()
+        assert ordered.tobytes() == x[want].tobytes()
+
+
+def test_double_kernel_takes_the_shared_support_tolerance():
+    # one offset at epsilon (1 + 1e-13), inside the 1e-12 tolerance of the
+    # sample set's own check and of every single-kernel estimator
+    r = uniform_randomizer(4.0)
+    s = make_samples(np.random.default_rng(30), 400, randomizer=r)
+    lam = s.lambdas.copy()
+    lam[0] = s.lambda0 - 4.0 * (1.0 + 1e-13)
+    assert s.lambda0 - lam[0] > r.epsilon
+    edge = SampleSet(s.lambda0, lam, s.states, s.payoffs, randomizer=r)
+    cfg = EstimatorConfig(kernel=K2, bandwidth=2.0, randomizer=r, second_kernel=K2)
+    assert math.isfinite(estimate_single_kernel_hat(edge, cfg).value)
+    value = estimate_double_kernel(edge, cfg).value
+    assert math.isfinite(value)
+    # a detached set is checked against the config's randomizer alike
+    detached = SampleSet(s.lambda0, lam, s.states, s.payoffs)
+    assert estimate_double_kernel(detached, cfg).value == value
+
+
+def test_detached_double_refuses_a_non_finite_parameter():
+    # as hat and check refuse it: the offset fails the support check
+    r = uniform_randomizer(8.0)
+    s = make_samples(np.random.default_rng(33), 50, randomizer=r)
+    cfg = EstimatorConfig(kernel=K2, bandwidth=4.0, randomizer=r, second_kernel=K2)
+    for bad in (np.nan, np.inf):
+        lam = s.lambdas.copy()
+        lam[3] = bad
+        detached = SampleSet(s.lambda0, lam, s.states, s.payoffs)
+        for estimate in (estimate_single_kernel_hat, estimate_double_kernel):
+            with pytest.raises(OutsideSupport):
+                estimate(detached, cfg)
 
 
 def test_double_kernel_direct_sweep_memory_is_bounded():
