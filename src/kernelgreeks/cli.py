@@ -31,6 +31,7 @@ from .export import (
     format_real,
     parse_config_file,
     sibling_path,
+    sidecar_path,
     summary_row,
     write_config_sidecar,
     write_kde_csv,
@@ -192,19 +193,20 @@ def _experiment_config(ns, parser, estimator_id: str, n: int) -> ExperimentConfi
         parser.error(str(exc))
 
 
-def _check_out(path) -> None:
-    """Before any work, raise the OSError that writing the file ``path``
-    would raise for a missing directory or a directory in its place."""
-    path = Path(path)
-    if path.is_dir() or not path.parent.is_dir():
-        code = errno.EISDIR if path.is_dir() else errno.ENOENT
-        raise OSError(code, os.strerror(code), str(path))
+def _check_outputs(out, *tags) -> None:
+    """Before any work, raise the OSError that writing ``out``, its config
+    sidecar or its sibling of each tag would raise for a missing directory
+    or a directory in the file's place."""
+    for path in (Path(out), *(sibling_path(out, tag) for tag in tags), sidecar_path(out)):
+        if path.is_dir() or not path.parent.is_dir():
+            code = errno.EISDIR if path.is_dir() else errno.ENOENT
+            raise OSError(code, os.strerror(code), str(path))
 
 
 def _cmd_estimate(ns, parser) -> int:
     cfg = _experiment_config(ns, parser, ns.estimator, _single_n(ns, parser))
     if ns.out:
-        _check_out(ns.out)
+        _check_outputs(ns.out, "raw")
     result = run_replications(cfg)
     ref, source = reference_value(cfg)
     summary = summarize(result.estimates, ref, source)
@@ -247,7 +249,7 @@ def _cmd_sweep(ns, parser) -> int:
         parser.error("sweep needs --out for the rate CSV")
     grid = _n_grid(ns, parser)
     cfg = _experiment_config(ns, parser, ns.estimator, grid[0])
-    _check_out(ns.out)
+    _check_outputs(ns.out)
     fit = convergence_rate_fit(cfg, grid)
     out = write_rate_csv(ns.out, fit)
     mapping = {"command": "sweep", **config_mapping(cfg), "n": ",".join(map(str, grid))}
@@ -265,7 +267,7 @@ def _cmd_compare(ns, parser) -> int:
     n = _single_n(ns, parser)
     # every config is built, and the first invalid one reported, before any work
     cfgs = [_experiment_config(ns, parser, estimator_id, n) for estimator_id in ids]
-    _check_out(ns.out)
+    _check_outputs(ns.out, *(f"kde.{c.estimator_id}" for c in cfgs if c.replications >= 10))
     common = CommonRun(cfgs)
     rows = []
     reference = source = None

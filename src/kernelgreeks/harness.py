@@ -804,16 +804,17 @@ def asian_fd_reference(
     reproducible.
 
     Three things overlap, on two pool threads and the caller: one thread
-    tunes the bump on its own stream, the other draws the next 2^18-normal
+    tunes the bump on its own stream, the other draws the next 2^17-normal
     block of the reference stream into one of two reused buffers, and the
-    caller averages the block before it and reduces each full chunk, the
-    first one once the bump is known. Each stream has one draw in flight
-    at a time, in order, and the chunks, their sums and the order in which
-    they are added are those of the serial loop, so the result equals it
-    bit for bit. At M = 50 on a 2-vCPU Xeon one call takes 0.6-0.75 s at
-    5e5 paths (0.85-1.1 s serially) and about 13 s at 1e7 (17.3-17.9 s).
-    Drawing the reference stream alone takes 11.3-12.3 s at 1e7, which
-    bounds this design from below (BENCH_asian_reference.json).
+    caller averages the block before it in that block's buffer and reduces
+    each full chunk, the first one once the bump is known. Each stream has
+    one draw in flight at a time, in order, and the chunks, their sums and
+    the order in which they are added are those of the serial loop, so the
+    result equals it bit for bit. At M = 50 on a 2-vCPU Xeon one call
+    takes 0.6-0.75 s at 5e5 paths (0.85-1.1 s serially) and about 13 s at
+    1e7 (17.3-17.9 s). Drawing the reference stream alone takes
+    11.3-12.3 s at 1e7, which bounds this design from below
+    (BENCH_asian_reference.json).
     """
     if n < 1:
         raise ValueError(f"need n >= 1 paths, got {n}")
@@ -821,7 +822,7 @@ def asian_fd_reference(
         bump = pool.submit(tune_fd_bump, model, payoff, asian, seed, n_target=n)
         rng = stream(seed, STREAM_REFERENCE + 1)
         blocks = _pipelined_unit_averages(model, asian, rng, n, pool)
-        chunk = np.empty(min(n, _REFERENCE_CHUNK))
+        chunk, scratch = (np.empty(min(n, _REFERENCE_CHUNK)) for _ in range(2))
         averages = np.empty(0)
         total = 0.0
         for done in range(0, n, _REFERENCE_CHUNK):
@@ -837,7 +838,13 @@ def asian_fd_reference(
             if done == 0:
                 eps = bump.result()
                 up, down = model.spot + 0.5 * eps, model.spot - 0.5 * eps
-            total += float(np.sum(payoff(up * base) - payoff(down * base)))
+            # payoff(up * base) - payoff(down * base) in one scratch buffer and
+            # in base, which the next chunk refills
+            diff = scratch[: base.size]
+            payoff(np.multiply(up, base, out=diff), out=diff)
+            payoff(np.multiply(down, base, out=base), out=base)
+            np.subtract(diff, base, out=diff)
+            total += float(np.sum(diff))
     return total / (n * eps)
 
 

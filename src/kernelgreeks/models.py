@@ -7,6 +7,11 @@ average), the lognormal density f(x, z) as a function of the spot, the
 standardized log-moneyness d(x, z), the coefficient recursion that turns
 spot-derivatives of f into polynomials in d, the payoffs, and closed-form
 delta oracles used as references.
+
+Every Delta in the package, closed form and estimate alike, is the spot
+derivative d/dx E[phi(Z)] of the undiscounted expected payoff: no factor
+exp(-rT) is applied, so at a nonzero rate the closed forms are not the
+discounted Black-Scholes Deltas.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ MAX_SCORE_ORDER = 10
 
 #: standard normals per row block of ``asian_unit_averages``; bounds the
 #: memory of the averaged-state simulation independently of N
-_ASIAN_BLOCK = 2**18
+_ASIAN_BLOCK = 2**17
 
 
 @dataclass(frozen=True)
@@ -121,13 +126,17 @@ def simulate_terminal(g: GbmParams, gauss, spot=None, out=None):
     return float(out) if out.ndim == 0 else out
 
 
-def simulate_asian(g: GbmParams, cfg: AsianConfig, gauss_path, spot=None):
+def simulate_asian(g: GbmParams, cfg: AsianConfig, gauss_path, spot=None, out=None):
     """Discretized time integral of the state over [0, maturity].
 
     ``gauss_path`` holds the per-step standard normals in its last axis,
     shape (steps,) or (n, steps). Increments between grid nodes are exact
     in distribution. The integral is linear in the spot, so bumped or
-    randomized spots reuse the same noise exactly.
+    randomized spots reuse the same noise exactly. ``out``, when given, is
+    a float array shaped like gauss_path that receives the working values
+    and may be gauss_path itself, which is then overwritten; otherwise a
+    working copy is made and gauss_path is left as it was. The averages
+    returned never share memory with ``out``.
     """
     gauss_path = np.atleast_2d(np.asarray(gauss_path, dtype=float))
     if gauss_path.shape[-1] != cfg.steps:
@@ -138,7 +147,8 @@ def simulate_asian(g: GbmParams, cfg: AsianConfig, gauss_path, spot=None):
     dt = g.maturity / cfg.steps
     # one working array: log increments, then their running sums, then the
     # unit-spot path values at nodes 1..steps
-    path = np.multiply(g.vol * math.sqrt(dt), gauss_path)
+    path = np.multiply(g.vol * math.sqrt(dt), gauss_path,
+                       out=None if out is None else np.atleast_2d(out))
     path += (g.rate - 0.5 * g.vol**2) * dt
     np.cumsum(path, axis=-1, out=path)
     np.exp(path, out=path)
@@ -146,8 +156,8 @@ def simulate_asian(g: GbmParams, cfg: AsianConfig, gauss_path, spot=None):
         unit = dt * (0.5 + path[..., :-1].sum(axis=-1) + 0.5 * path[..., -1])
     else:  # left Riemann: nodes 0..steps-1
         unit = dt * (1.0 + path[..., :-1].sum(axis=-1))
-    out = np.asarray(x) * unit
-    return float(out[0]) if out.shape == (1,) else out
+    states = np.asarray(x) * unit
+    return float(states[0]) if states.shape == (1,) else states
 
 
 def asian_unit_averages(
@@ -156,8 +166,10 @@ def asian_unit_averages(
     """Unit-spot averages of n paths whose normals are drawn from rng.
 
     The normals are drawn in row blocks of at most ``_ASIAN_BLOCK``
-    elements into one reused buffer, so memory does not grow with n. A
-    Philox stream continues bit for bit across draws, so the result equals
+    elements into one reused buffer, which each block's averaging then
+    overwrites, so memory does not grow with n. A Philox stream continues
+    bit for bit across draws, and each row's average reads only its own
+    normals, so the result equals
     ``simulate_asian(g, cfg, rng.standard_normal((n, cfg.steps)), spot=1.0)``
     exactly; multiply it by a spot to get the states at that spot. ``out``,
     when given, is an (n,) float array that receives the averages.
@@ -169,7 +181,7 @@ def asian_unit_averages(
     for start in range(0, n, rows):
         part = block[: min(rows, n - start)]
         rng.standard_normal(out=part)
-        out[start : start + part.shape[0]] = simulate_asian(g, cfg, part, 1.0)
+        out[start : start + part.shape[0]] = simulate_asian(g, cfg, part, 1.0, out=part)
     return out
 
 
@@ -182,7 +194,10 @@ def _pipelined_unit_averages(
     The blocks and their values are those of ``asian_unit_averages``.
     Each draw goes into one of two reused buffers and starts only after
     the previous draw has finished, so the stream is consumed in order;
-    the caller averages block k while block k + 1 is drawn.
+    the caller averages block k in its buffer while block k + 1 is drawn
+    into the other. Block k's averages, a fresh array, are complete before
+    they are yielded, and so before the draw of block k + 2 reuses its
+    buffer.
     """
     rows = max(1, min(n, _ASIAN_BLOCK // cfg.steps))
     ring = (np.empty((rows, cfg.steps)), np.empty((rows, cfg.steps)))
@@ -198,7 +213,7 @@ def _pipelined_unit_averages(
         part = pending.result()
         if k + 1 < blocks:
             pending = pool.submit(draw, k + 1)
-        yield np.atleast_1d(simulate_asian(g, cfg, part, 1.0))
+        yield np.atleast_1d(simulate_asian(g, cfg, part, 1.0, out=part))
 
 
 # -- lognormal analytics ---------------------------------------------------
@@ -334,38 +349,36 @@ def constant_payoff(c: float) -> Payoff:
 # -- closed-form references --------------------------------------------------
 
 
-def _growth(g: GbmParams, sign: float) -> float:
-    """exp(sign r T); raises NonFiniteEstimate where it overflows."""
+def _growth(g: GbmParams) -> float:
+    """exp(rT); raises NonFiniteEstimate where it overflows."""
     try:
-        return math.exp(sign * g.rate * g.maturity)
+        return math.exp(g.rate * g.maturity)
     except OverflowError:
-        raise NonFiniteEstimate(f"the closed-form Delta needs exp({sign * g.rate * g.maturity!r}), "
+        raise NonFiniteEstimate(f"the closed-form Delta needs exp({g.rate * g.maturity!r}), "
                                 "which overflows") from None
 
 
-def _d2(g: GbmParams, strike: float) -> float:
-    return (math.log(g.spot / strike) + (g.rate - 0.5 * g.vol**2) * g.maturity) / (
-        g.vol * math.sqrt(g.maturity)
-    )
+def _d2(g: GbmParams, strike: float) -> tuple[float, float]:
+    """d2 = (ln(x/K) + m) / sqrt(Sigma) on the terminal law, and sqrt(Sigma)."""
+    if strike <= 0.0:
+        raise NonPositiveState("strike must be positive")
+    law = lognormal_params(g)
+    scale = math.sqrt(law.Sigma)
+    return (math.log(g.spot / strike) + law.m) / scale, scale
 
 
 def closed_form_digital_delta(g: GbmParams, strike: float) -> float:
-    """Delta of the digital call: exp(-rT) n(d2) / (x sigma sqrt(T))."""
-    if strike <= 0.0:
-        raise NonPositiveState("strike must be positive")
-    d2 = _d2(g, strike)
-    pdf = math.exp(-0.5 * d2 * d2) / _SQRT_2PI
-    return _growth(g, -1.0) * pdf / (g.spot * g.vol * math.sqrt(g.maturity))
+    """d/dx P(Z > K) of the digital call: n(d2) / (x sigma sqrt(T))."""
+    d2, scale = _d2(g, strike)
+    return math.exp(-0.5 * d2 * d2) / _SQRT_2PI / (g.spot * scale)
 
 
 def closed_form_vanilla_delta(g: GbmParams, strike: float) -> float:
-    """Delta of the vanilla call: N(d1)."""
-    if strike <= 0.0:
-        raise NonPositiveState("strike must be positive")
-    d1 = _d2(g, strike) + g.vol * math.sqrt(g.maturity)
-    return 0.5 * math.erfc(-d1 / math.sqrt(2.0))
+    """d/dx E[(Z - K)+] of the vanilla call: exp(rT) N(d1)."""
+    d2, scale = _d2(g, strike)
+    return _growth(g) * (0.5 * math.erfc(-(d2 + scale) / math.sqrt(2.0)))
 
 
 def closed_form_identity_delta(g: GbmParams) -> float:
     """Sensitivity of E[Z] to the spot: exp(rT), equal to 1 at zero rate."""
-    return _growth(g, 1.0)
+    return _growth(g)

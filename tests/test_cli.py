@@ -479,8 +479,37 @@ def test_unwritable_out_fails_before_any_work(tmp_path, capsys, monkeypatch, arg
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, sibling", [
+    (["estimate", "--n", "2000", "--reps", "3"], "o.raw.csv"),
+    (["estimate", "--n", "2000", "--reps", "3"], "o.config.json"),
+    (["sweep", "--n", "100,300,1000,10000", "--reps", "3"], "o.config.json"),
+    (["compare", "--estimator", "uniform", "--n", "1000", "--reps", "10"], "o.kde.uniform.csv"),
+    (["compare", "--estimator", "uniform,lr", "--n", "1000", "--reps", "12"], "o.kde.lr.csv"),
+    (["compare", "--estimator", "uniform,lr", "--n", "1000", "--reps", "12"], "o.config.json"),
+])
+def test_an_unwritable_sibling_fails_before_any_work(tmp_path, capsys, monkeypatch, argv,
+                                                     sibling):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command started work before checking its outputs")
+
+    monkeypatch.setattr(harness, "_replicate", no_work)
+    for module in (cli, harness):
+        for name in ("run_replications", "resolve_run", "reference_value",
+                     "convergence_rate_fit"):
+            monkeypatch.setattr(module, name, no_work)
+    (tmp_path / sibling).mkdir()
+    assert run_cli(*argv, "--out", str(tmp_path / "o.csv")) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: [Errno ") and err[0].endswith(
+        f"'{tmp_path / sibling}'")
+    assert [p.name for p in tmp_path.iterdir()] == [sibling]
+
+
 def test_a_failed_write_ends_in_one_error_line(tmp_path, capsys):
-    # a directory in the place of a KDE file fails only when it is written
+    # a directory in the place of a KDE file fails before any work, as the
+    # output check finds it
     (tmp_path / "o.kde.uniform.csv").mkdir()
     code = run_cli("compare", "--estimator", "uniform", "--n", "1000", "--reps", "10",
                    "--out", str(tmp_path / "o.csv"))

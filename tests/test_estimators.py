@@ -53,7 +53,7 @@ from kernelgreeks.estimators import (
     estimate_oracle_score,
     estimate_uniform_opt,
 )
-from kernelgreeks.models import constant_payoff
+from kernelgreeks.models import AsianConfig, constant_payoff
 
 K2 = builtin_kernel("p2")
 PAPER = GbmParams(spot=120.0, rate=0.0, vol=0.2, maturity=1.0)
@@ -743,6 +743,15 @@ def test_fd_forward_layout():
     est = estimate_finite_difference(PAPER, payoff, FdConfig(alpha=1.0, bump=0.7), gauss)
     manual = np.mean(payoff(120.7 * base) - payoff(120.0 * base)) / 0.7
     assert est.value == pytest.approx(manual, rel=1e-14)
+
+
+@pytest.mark.parametrize("asian", [None, AsianConfig(steps=6)])
+def test_fd_leaves_the_callers_normals_unchanged(asian):
+    shape = (500,) if asian is None else (500, 6)
+    gauss = np.random.default_rng(15).standard_normal(shape)
+    kept = gauss.copy()
+    estimate_finite_difference(PAPER, digital_call(120.0), FdConfig(0.5, 0.5), gauss, asian=asian)
+    assert np.array_equal(gauss, kept)
 
 
 def test_fd_guards():

@@ -1,12 +1,12 @@
 """Byte-identity gate: the SHA-256 of every output file and of stdout of a
 small matrix of CLI runs, pinned in ``golden_outputs.json``.
 
-The matrix covers the seven estimators, the digital and vanilla calls,
-antithetic pairing, a fixed tilt and theta = 0, the averaged state with
-M = 5, the p2, p4 and p6 kernels, fixed and automatic bandwidths, rows of
-more than 2^16 draws (walked in leaves), ``bandwidth``, ``sweep`` and
-``compare``. The raw CSV is hashed without its ``runtime_ms`` column,
-which measures wall time.
+The matrix covers the seven estimators, the digital and vanilla calls, a
+nonzero rate, antithetic pairing, a fixed tilt and theta = 0, the averaged
+state with M = 5, the p2, p4 and p6 kernels, fixed and automatic
+bandwidths, rows of more than 2^16 draws (walked in leaves),
+``bandwidth``, ``sweep`` and ``compare``. The raw CSV is hashed without
+its ``runtime_ms`` column, which measures wall time.
 
 A change that moves an output re-pins the changed entries in the same
 commit and names them in CHANGES.md; a pin is never replaced by a
@@ -96,6 +96,8 @@ CASES = {
                                    "--reps", "10", "--seed", "20"],
     "compare_fd_first_asian": ["compare", "--estimator", "fd,hat", "--asian-steps", "5",
                                "--kernel", "p4", "--n", "1000", "--reps", "10", "--seed", "16"],
+    "compare_lr_uniform_rate": ["compare", "--estimator", "lr,uniform", "--model.rate", "0.05",
+                                "--n", "3000", "--reps", "10", "--seed", "21"],
 }
 
 #: the commands that write files take --out

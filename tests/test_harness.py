@@ -337,6 +337,22 @@ def test_reference_values_closed_form():
     assert reference_value(base_config(payoff=constant_payoff(9.0))) == (0.0, "closed_form")
 
 
+@pytest.mark.parametrize("rate", [-0.05, 0.05])
+def test_lr_agrees_with_the_closed_forms_at_a_nonzero_rate(rate):
+    # lr is unbiased for d/dx E[phi(Z)], with no discount, as every closed
+    # form is; a reference off by exp(-rT) would sit 15-40 standard errors
+    # away here
+    model = GbmParams(spot=120.0, rate=rate, vol=0.2, maturity=1.0)
+    for payoff in (digital_call(120.0), vanilla_call(120.0), identity_payoff()):
+        cfg = base_config(model=model, payoff=payoff, estimator_id="lr", n_samples=100_000,
+                          replications=10, seed=21)
+        estimates = run_replications(cfg).estimates
+        reference, source = reference_value(cfg)
+        assert source == "closed_form"
+        se = estimates.std(ddof=1) / math.sqrt(estimates.size)
+        assert abs(estimates.mean() - reference) <= 4.0 * se, payoff.kind
+
+
 def test_tuned_bump_is_a_candidate():
     eps = tune_fd_bump(PAPER, digital_call(120.0), AsianConfig(steps=10), 7, 10**5, pilot_n=20_000)
     fractions = (0.0025, 0.005, 0.01, 0.02, 0.04, 0.08)
@@ -614,17 +630,15 @@ def test_asian_kernel_and_fd_agree():
     asian = AsianConfig(steps=50)
     payoff = digital_call(120.0)
     n, reps, seed = 10**6, 100, 20260814
-    res_u = run_replications(
-        ExperimentConfig(
-            model=PAPER,
-            payoff=payoff,
-            estimator_id="uniform",
-            asian=asian,
-            bandwidth="auto",
-            n_samples=n,
-            replications=reps,
-            seed=seed,
-        )
+    cfg_u = ExperimentConfig(
+        model=PAPER,
+        payoff=payoff,
+        estimator_id="uniform",
+        asian=asian,
+        bandwidth="auto",
+        n_samples=n,
+        replications=reps,
+        seed=seed,
     )
     eps = tune_fd_bump(PAPER, payoff, asian, seed, n_target=n * reps)
     cfg_f = ExperimentConfig(
@@ -638,7 +652,11 @@ def test_asian_kernel_and_fd_agree():
         seed=seed,
         fd_eps=eps,
     )
-    res_f = run_replications(cfg_f)
+    # both read the same streams, so one common run draws the paths once;
+    # each config's estimates are those of a run of its own, bit for bit
+    common = CommonRun([cfg_u, cfg_f])
+    res_u = run_replications(cfg_u, common=common)
+    res_f = run_replications(cfg_f, common=common)
     mean_u, mean_f = res_u.estimates.mean(), res_f.estimates.mean()
     sd_u = res_u.estimates.std(ddof=1)
     sd_f = res_f.estimates.std(ddof=1)

@@ -1,6 +1,7 @@
 """State simulation, lognormal analytics, score recursion, payoffs."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -124,6 +125,37 @@ def test_streamed_asian_averages_match_one_draw(monkeypatch, steps, scheme):
             got = asian_unit_averages(PAPER, cfg, stream(3, 11), n)
             assert got.shape == (n,)
             assert np.array_equal(got, want), (n, rows)
+
+
+@pytest.mark.parametrize("steps", [1, 7, 50])
+@pytest.mark.parametrize("scheme", ["trapezoid", "left"])
+def test_asian_in_its_own_normals_equals_a_copy(steps, scheme):
+    # without out the caller's normals stay as they were; averaging in them
+    # overwrites them and gives the same bits, in averages that share no
+    # memory with them
+    cfg = AsianConfig(steps=steps, scheme=scheme)
+    for gauss in (stream(4, 2).standard_normal((997, steps)), stream(4, 3).standard_normal(steps)):
+        kept = gauss.copy()
+        want = simulate_asian(PAPER, cfg, gauss, spot=1.0)
+        assert np.array_equal(gauss, kept)
+        got = simulate_asian(PAPER, cfg, gauss, spot=1.0, out=gauss)
+        assert np.array_equal(got, want) and not np.shares_memory(got, gauss)
+
+
+def test_asian_unit_averages_peak_is_one_block():
+    # the averaging works in the block it draws into: the traced peak is
+    # one block of normals, the (n,) averages and small per-row temporaries
+    cfg, n = AsianConfig(steps=50), 100_000
+    # a first call imports modules lazily, which is no part of the peak
+    asian_unit_averages(PAPER, cfg, stream(6, 1), 10)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        asian_unit_averages(PAPER, cfg, stream(6, 1), n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * models._ASIAN_BLOCK + 8 * n + 256 * 1024
 
 
 def test_asian_flat_path_limit():
@@ -277,11 +309,10 @@ def test_closed_form_limits():
 
 
 def test_closed_form_deltas_reject_an_overflowing_growth_factor():
-    # exp(-rT) of the digital and exp(rT) of the identity leave the float range
-    for g, delta in ((GbmParams(spot=120.0, rate=-1000.0, vol=0.2, maturity=1.0),
-                      lambda g: closed_form_digital_delta(g, 120.0)),
-                     (GbmParams(spot=120.0, rate=1000.0, vol=0.2, maturity=1.0),
-                      closed_form_identity_delta)):
+    # exp(rT) of the vanilla and of the identity leaves the float range; the
+    # undiscounted digital has no growth factor and reads a finite 0.0 there
+    g = GbmParams(spot=120.0, rate=1000.0, vol=0.2, maturity=1.0)
+    for delta in (lambda g: closed_form_vanilla_delta(g, 120.0), closed_form_identity_delta):
         with pytest.raises(NonFiniteEstimate):
             delta(g)
 
