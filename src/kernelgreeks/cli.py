@@ -159,6 +159,8 @@ def _build_config(ns, estimator_id: str, n: int) -> ExperimentConfig:
     """The config of one estimator; raises ValueError on invalid flags."""
     if estimator_id not in ESTIMATOR_IDS:
         raise ValueError(f"unknown estimator {estimator_id!r}")
+    if ns.asian_steps < 0:
+        raise ValueError(f"--asian-steps must be 0 or positive, got {ns.asian_steps}")
     if ns.asian_steps > 0 and estimator_id == "lr":
         raise ValueError("the lr estimator needs the terminal state (drop --asian-steps)")
     model = GbmParams(
@@ -212,10 +214,11 @@ def _cmd_estimate(ns, parser) -> int:
     summary = summarize(result.estimates, ref, source)
     print(f"{format_real(summary.mean)} +/- {format_real(summary.stderr)}")
     print(f"reference = {format_real(ref)} ({source})")
-    if result.h is not None:
+    plan = result.plan
+    if plan.h is not None:
         print(
-            f"h = {format_real(result.h)}, theta = {format_real(result.theta)}, "
-            f"epsilon = {format_real(result.epsilon)}"
+            f"h = {format_real(plan.h)}, theta = {format_real(plan.theta)}, "
+            f"epsilon = {format_real(plan.epsilon)}"
         )
     if ns.out:
         out = write_summary_csv(ns.out, [summary_row(cfg, result, summary)])

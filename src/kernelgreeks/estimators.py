@@ -291,7 +291,7 @@ def _formula(
                 f"generating epsilon {gen.epsilon} is below the kernel window {eps}"
             )
         eps = gen.epsilon
-    r = Randomizer("truncexp" if theta else "uniform", eps, theta)
+    r = Randomizer(eps, theta)
     return _KernelSum(h, r.theta * h, r.density_at_zero())
 
 

@@ -75,13 +75,14 @@ def _write_lines(path, lines) -> Path:
 
 def summary_row(cfg: ExperimentConfig, result: RunResult, summary: ExperimentSummary) -> str:
     payoff_name = cfg.payoff.kind if cfg.asian is None else f"asian_{cfg.payoff.kind}"
+    plan = result.plan
     fields = [
         cfg.estimator_id,
         payoff_name,
         str(cfg.n_samples),
-        format_real(result.h),
-        format_real(result.theta),
-        format_real(result.epsilon),
+        format_real(plan.h),
+        format_real(plan.theta),
+        format_real(plan.epsilon),
         str(cfg.seed),
         str(cfg.replications),
         format_real(summary.mean),

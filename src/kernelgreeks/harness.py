@@ -55,6 +55,7 @@ from .rng import PILOT_OFFSET, STREAM_REFERENCE, rekey, replication_ids, skip, s
 
 __all__ = [
     "ExperimentConfig",
+    "RunPlan",
     "RunResult",
     "ExperimentSummary",
     "RateFit",
@@ -150,6 +151,8 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
+        if not 0.0 <= self.fd_alpha <= 1.0:
+            raise ValueError(f"fd_alpha must lie in [0, 1], got {self.fd_alpha!r}")
         if self.antithetic:
             if self.estimator_id not in KERNEL_ESTIMATORS:
                 raise ValueError("antithetic pairing applies to kernel estimators only")
@@ -157,17 +160,37 @@ class ExperimentConfig:
                 raise ValueError("antithetic pairing needs an even n_samples")
 
 
+@dataclass(frozen=True, eq=False)
+class RunPlan:
+    """A run's decisions, made by :func:`resolve_run` alone: ``finish(total,
+    n)`` is a row's estimate from its sums over n draws, fd's epsilon is its
+    bump and lr has only its finish. Plans compare by identity, since they
+    hold a closure and the pilot's arrays."""
+
+    finish: Callable
+    kernel: Kernel | None = None
+    second_kernel: Kernel | None = None
+    h: float | None = None
+    theta: float | None = None
+    epsilon: float | None = None
+    randomizer: Randomizer | None = None
+    pilot: PilotEstimates | None = None
+    choice: BandwidthChoice | None = None
+    formula: _KernelSum | None = None
+
+
 @dataclass(frozen=True)
 class RunResult:
-    """Replication estimates plus the resolved run parameters."""
+    """Replication estimates and the plan they were run with."""
 
     estimates: np.ndarray
     runtime_ms: np.ndarray
-    h: float | None
-    theta: float | None
-    epsilon: float | None
-    pilot: PilotEstimates | None = None
-    choice: BandwidthChoice | None = None
+    plan: RunPlan
+
+    @property
+    def h(self) -> float | None:
+        """The plan's bandwidth."""
+        return self.plan.h
 
 
 @dataclass(frozen=True)
@@ -197,23 +220,6 @@ class RateFit:
     h: tuple
 
 
-@dataclass(frozen=True)
-class _RunPlan:
-    """A run's resolved parameters: ``formula`` is the checked formula of a
-    single-kernel estimator, and ``finish(total, n)`` a row's estimate
-    from its sums over n draws."""
-
-    kernel: Kernel | None
-    second_kernel: Kernel | None
-    h: float | None
-    theta: float | None
-    randomizer: Randomizer | None
-    pilot: PilotEstimates | None
-    choice: BandwidthChoice | None
-    finish: Callable
-    formula: _KernelSum | None = None
-
-
 def _pilot_states(cfg: ExperimentConfig, rng: np.random.Generator, n: int) -> np.ndarray:
     """The states of n paths at the spot. The averaged state is reduced to
     its (n,) unit-spot averages block by block, so its (n, steps) normals
@@ -223,7 +229,7 @@ def _pilot_states(cfg: ExperimentConfig, rng: np.random.Generator, n: int) -> np
     return cfg.model.spot * asian_unit_averages(cfg.model, cfg.asian, rng, n)
 
 
-def resolve_run(cfg: ExperimentConfig, stream_base: int = 0) -> _RunPlan:
+def resolve_run(cfg: ExperimentConfig, stream_base: int = 0) -> RunPlan:
     """Fix kernel, bandwidth, tilt, randomizer, a single-kernel formula
     and the finish of the estimator before replicating.
 
@@ -237,10 +243,11 @@ def resolve_run(cfg: ExperimentConfig, stream_base: int = 0) -> _RunPlan:
     estimator's error.
     """
     eid = cfg.estimator_id
-    if eid in ("lr", "fd"):
-        # fd's estimate is the average difference over the bump
-        bump = cfg.fd_eps if eid == "fd" else 1.0
-        return _RunPlan(None, None, None, None, None, None, None, lambda total, n: total / n / bump)
+    if eid == "lr":
+        return RunPlan(lambda total, n: total / n)
+    if eid == "fd":
+        # the average difference over the bump, which is fd's epsilon
+        return RunPlan(lambda total, n: total / n / cfg.fd_eps, epsilon=cfg.fd_eps)
     kernel = builtin_kernel(cfg.kernel_family)
     if eid == "uniform" and cfg.theta not in (None, 0.0):
         raise RandomizerMismatch("a uniform randomizer cannot carry a tilt")
@@ -265,13 +272,14 @@ def resolve_run(cfg: ExperimentConfig, stream_base: int = 0) -> _RunPlan:
         # (an O(1/h) ridge) instead of the model score. One extra kernel
         # radius keeps the windows of all outer-weighted draws clear.
         epsilon *= 2.0
-    randomizer = Randomizer("truncexp" if theta else "uniform", epsilon, theta)
+    randomizer = Randomizer(epsilon, theta)
     if eid == "double":
         # the estimates need no finishing
-        return _RunPlan(kernel, kernel, h, theta, randomizer, pilot, choice,
-                        lambda total, n: total)
+        return RunPlan(lambda total, n: total, kernel, kernel, h, theta, epsilon, randomizer,
+                       pilot, choice)
     formula = _formula(eid, randomizer, kernel, h, theta=theta)
-    return _RunPlan(kernel, None, h, theta, randomizer, pilot, choice, formula.finish, formula)
+    return RunPlan(formula.finish, kernel, None, h, theta, epsilon, randomizer, pilot, choice,
+                   formula)
 
 
 def _draws_per_row(cfg: ExperimentConfig) -> int:
@@ -523,7 +531,7 @@ def _double_rows(members, lams, unit) -> list:
     states = np.multiply(lams, unit)
     payoffs = cfg.payoff(states)
 
-    def rows(plan: _RunPlan) -> np.ndarray:
+    def rows(plan: RunPlan) -> np.ndarray:
         ec = EstimatorConfig(plan.kernel, plan.h, plan.randomizer, plan.second_kernel)
         return np.array([
             estimate_double_kernel(SampleSet(cfg.model.spot, *row, plan.randomizer, kind), ec).value
@@ -657,26 +665,8 @@ def _run_common(cfgs: tuple, workers: int | None, stream_base: int) -> list:
     w = _default_workers() if workers is None else max(1, workers)
     done = _replicate([(cfgs[i], plans[i]) for i in live], ids, w)
     for i, result in zip(live, done):
-        outcomes[i] = result if isinstance(result, Exception) else _run_result(
-            cfgs[i], plans[i], *result
-        )
+        outcomes[i] = result if isinstance(result, Exception) else RunResult(*result, plans[i])
     return outcomes
-
-
-def _run_result(cfg: ExperimentConfig, plan: _RunPlan, estimates, runtimes) -> RunResult:
-    if plan.randomizer is None:
-        epsilon = cfg.fd_eps if cfg.estimator_id == "fd" else None
-    else:
-        epsilon = plan.randomizer.epsilon
-    return RunResult(
-        estimates=estimates,
-        runtime_ms=runtimes,
-        h=plan.h,
-        theta=plan.theta,
-        epsilon=epsilon,
-        pilot=plan.pilot,
-        choice=plan.choice,
-    )
 
 
 class CommonRun:
@@ -965,7 +955,7 @@ def convergence_rate_fit(
         res = run_replications(sub, workers=workers, stream_base=sweep_base(i))
         summ = summarize(res.estimates, reference, source)
         mses.append(summ.mse)
-        hs.append(res.h)
+        hs.append(res.plan.h)
     mse_arr = np.asarray(mses)
     slope, intercept, r2 = fit_loglog(grid, mse_arr)
     return RateFit(

@@ -2,21 +2,20 @@
 
 The estimators in this package never differentiate the payoff. Instead the
 parameter is drawn from a small density centered at the query point lambda0
-and the derivative is recovered by kernel regression. Two families are
-supported on [-epsilon, epsilon]:
+and the derivative is recovered by kernel regression. The densities form one
+tilted exponential family on [-epsilon, epsilon]:
 
-- ``uniform``: density 1/(2 epsilon)
-- ``truncexp``: density theta e^{theta l} / (e^{theta eps} - e^{-theta eps})
+    theta e^{theta l} / (e^{theta eps} - e^{-theta eps})
 
-theta = 0 recovers the uniform case exactly. Both families have a constant
-log-density gradient on the support (0 and theta), which is what makes the
-two single-kernel estimators coincide.
+and theta = 0 is the uniform density 1/(2 epsilon). The log-density gradient
+is the constant theta on the support, which is what makes the two
+single-kernel estimators coincide.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -34,27 +33,29 @@ _LARGE_TILT = 700.0
 
 @dataclass(frozen=True)
 class Randomizer:
-    """Randomizing density on [-epsilon, epsilon], uniform or tilted exponential."""
+    """Tilted exponential density on [-epsilon, epsilon]; theta = 0 is uniform.
+    ``kind``, "uniform" or "truncexp", is checked against theta and not kept."""
 
-    kind: str
     epsilon: float
     theta: float = 0.0
+    kind: InitVar[str | None] = None
 
-    def __post_init__(self):
-        if self.kind not in ("uniform", "truncexp"):
-            raise ValueError(f"unknown randomizer kind {self.kind!r}")
+    def __post_init__(self, kind):
+        if kind not in (None, "uniform", "truncexp"):
+            raise ValueError(f"unknown randomizer kind {kind!r}")
         if not 0.0 < self.epsilon < math.inf:
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
         if not math.isfinite(self.theta):
             raise ValueError(f"theta must be finite, got {self.theta!r}")
-        if self.kind == "uniform" and self.theta != 0.0:
+        if kind == "uniform" and self.theta != 0.0:
             raise ValueError("uniform randomizer does not take a tilt; use truncexp")
 
     # -- density ---------------------------------------------------------
 
-    def _norm_at_zero(self) -> float:
-        """The value theta / (e^{theta eps} - e^{-theta eps}), stable near theta = 0
-        and free of overflow at large |theta eps|."""
+    def density_at_zero(self) -> float:
+        """The prefactor ell(0) = theta / (e^{theta eps} - e^{-theta eps})
+        appearing in every kernel estimator, stable near theta = 0 and free
+        of overflow at large |theta eps|."""
         te = self.theta * self.epsilon
         if abs(te) < _SMALL_TILT:
             # theta / (2 sinh(theta eps)) expanded to second order in (theta eps)^2
@@ -70,28 +71,12 @@ class Randomizer:
         inside = np.abs(l) <= self.epsilon
         te = abs(self.theta * self.epsilon)
         if te < _LARGE_TILT:
-            vals = self._norm_at_zero() * np.exp(self.theta * l)
+            vals = self.density_at_zero() * np.exp(self.theta * l)
         else:
             # |theta| e^{theta l - |theta eps|}, in log space
             with np.errstate(over="ignore"):
                 vals = np.exp(math.log(abs(self.theta)) - te + self.theta * l)
         vals = np.where(inside, vals, 0.0)
-        return float(vals) if vals.ndim == 0 else vals
-
-    def density_at_zero(self) -> float:
-        """The prefactor ell(0) appearing in every kernel estimator."""
-        return self._norm_at_zero()
-
-    def grad_log_density(self, l):
-        """d/dl of log density: 0 for uniform, the constant theta otherwise.
-
-        Raises :class:`OutsideSupport` when any |l| exceeds epsilon, since
-        the log-density is undefined there.
-        """
-        l = np.asarray(l, dtype=float)
-        if np.any(np.abs(l) > self.epsilon):
-            raise OutsideSupport(f"offset outside [-{self.epsilon}, {self.epsilon}]")
-        vals = np.full_like(l, self.theta)
         return float(vals) if vals.ndim == 0 else vals
 
     # -- sampling --------------------------------------------------------
@@ -147,8 +132,8 @@ class Randomizer:
 
 
 def uniform_randomizer(epsilon: float) -> Randomizer:
-    return Randomizer(kind="uniform", epsilon=epsilon)
+    return Randomizer(epsilon)
 
 
 def truncexp_randomizer(epsilon: float, theta: float) -> Randomizer:
-    return Randomizer(kind="truncexp", epsilon=epsilon, theta=theta)
+    return Randomizer(epsilon, theta)

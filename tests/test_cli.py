@@ -361,6 +361,7 @@ def test_compare_skips_kde_for_few_replications(tmp_path, capsys):
         ["--estimator", "uniform,bogus,lr"],
         ["--estimator", "uniform,lr", "--antithetic"],
         ["--estimator", "uniform,fd,lr", "--asian-steps", "4"],
+        ["--estimator", "uniform,fd", "--alpha", "2"],
     ],
 )
 def test_compare_rejects_an_invalid_estimator_before_any_work(tmp_path, capsys, monkeypatch,
@@ -586,6 +587,10 @@ def test_out_of_range_seed_is_a_usage_error():
         ["--model.spot", "1e-300", "--strike", "1e-300"],
         ["--estimator", "double", "--model.rate", "1000"],
         ["--payoff", "vanilla", "--model.spot", "1e300", "--strike", "1e300"],
+        # checked with the config, before the pilot and the replications
+        ["--estimator", "fd", "--alpha", "2"],
+        ["--estimator", "fd", "--alpha", "-0.5"],
+        ["--asian-steps", "-3"],
     ],
 )
 def test_degenerate_inputs_end_in_one_error_line(argv):

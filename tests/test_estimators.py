@@ -303,7 +303,7 @@ def double_kernel_reference(samples, kernel, second, h, r):
         num /= (n - 1) * h**3
         if den < 1e-12 / (h * h):
             continue
-        s_hat = num / den + r.grad_log_density(samples.lambda0 - lam[i])
+        s_hat = num / den + r.theta
         total += phi[i] * s_hat * kernel((samples.lambda0 - lam[i]) / h)
     return total / (r.density_at_zero() * n * h)
 

@@ -161,7 +161,7 @@ def test_resolve_run_fixed_bandwidth():
     plan = resolve_run(base_config(theta=None))
     assert plan.h == 8.0
     assert plan.theta == 0.0
-    assert plan.randomizer.kind == "uniform"
+    assert plan.randomizer.theta == 0.0
     assert plan.randomizer.epsilon == 8.0  # M * h for the built-in support
     assert plan.second_kernel is None
     assert plan.pilot is None
@@ -266,9 +266,9 @@ def test_antithetic_pairs_mirror_offsets():
 
 def test_run_result_epsilon_bookkeeping():
     fd = run_replications(base_config(estimator_id="fd", bandwidth=1.0, fd_eps=0.75, replications=2))
-    assert fd.epsilon == 0.75 and fd.h is None
+    assert fd.plan.epsilon == 0.75 and fd.plan.h is None
     lr = run_replications(base_config(estimator_id="lr", bandwidth=1.0, replications=2))
-    assert lr.epsilon is None and lr.theta is None
+    assert lr.plan.epsilon is None and lr.plan.theta is None
 
 
 def test_replication_errors_carry_index():
@@ -1129,7 +1129,8 @@ def test_common_run_matches_separate_runs(monkeypatch, n, asian, antithetic):
         for cfg, b in zip(cfgs, want):
             a = group.result(cfg)
             assert a.estimates.tolist() == b.estimates.tolist(), cfg.estimator_id
-            assert (a.h, a.theta, a.epsilon) == (b.h, b.theta, b.epsilon)
+            assert (a.plan.h, a.plan.theta, a.plan.epsilon) == (b.plan.h, b.plan.theta,
+                                                                 b.plan.epsilon)
             assert np.all(a.runtime_ms > 0.0)
 
 

@@ -55,6 +55,12 @@ def test_density_integrates_to_one():
 def test_theta_zero_recovers_uniform():
     u = uniform_randomizer(0.7)
     t = truncexp_randomizer(0.7, 0.0)
+    # one density, one randomizer: no kind is stored
+    from kernelgreeks.randomizers import Randomizer
+
+    assert u == t == Randomizer(0.7) == Randomizer(kind="truncexp", epsilon=0.7)
+    assert hash(u) == hash(t) == hash(Randomizer(0.7))
+    assert repr(u) == "Randomizer(epsilon=0.7, theta=0.0)"
     grid = np.linspace(-0.7, 0.7, 41)
     assert np.max(np.abs(t.density(grid) - u.density(grid))) < 1e-12
     probe = np.linspace(0.0, 1.0, 17, endpoint=False)
@@ -72,13 +78,14 @@ def test_small_theta_is_continuous():
     assert np.max(np.abs(tiny.density(grid) - 1.0)) <= 1e-6
 
 
-def test_grad_log_density():
-    assert uniform_randomizer(1.0).grad_log_density(0.3) == 0.0
-    r = truncexp_randomizer(1.0, 2.5)
-    assert r.grad_log_density(0.0) == 2.5
-    assert np.all(r.grad_log_density(np.array([-1.0, 0.2, 1.0])) == 2.5)
-    with pytest.raises(OutsideSupport):
-        r.grad_log_density(1.0001)
+def test_theta_is_the_log_density_gradient():
+    # d/dl log ell by a central difference of the density, inside the support
+    for r in (uniform_randomizer(1.0), truncexp_randomizer(1.0, 2.5),
+              truncexp_randomizer(0.5, -3.0)):
+        step = 1e-6 * r.epsilon
+        l = np.linspace(-0.9, 0.9, 7) * r.epsilon
+        slope = (np.log(r.density(l + step)) - np.log(r.density(l - step))) / (2.0 * step)
+        assert np.allclose(slope, r.theta, rtol=1e-8, atol=1e-8)
 
 
 def test_inverse_cdf_values():
