@@ -272,22 +272,25 @@ def _cmd_compare(ns, parser) -> int:
     cfgs = [_experiment_config(ns, parser, estimator_id, n) for estimator_id in ids]
     _check_outputs(ns.out, *(f"kde.{c.estimator_id}" for c in cfgs if c.replications >= 10))
     common = CommonRun(cfgs)
-    rows = []
-    reference = source = None
+    reference, source = reference_value(cfgs[0])
+    # every row, line and density is built before anything is printed or
+    # written, so an estimator that fails leaves no partial output
+    rows, lines, kdes = [], [], []
     for cfg in cfgs:
-        if reference is None:
-            reference, source = reference_value(cfg)
         result = run_replications(cfg, common=common)
         summary = summarize(result.estimates, reference, source)
         rows.append(summary_row(cfg, result, summary))
-        if cfg.replications >= 10:
-            grid = kde_grid(result.estimates)
-            density = kde_of_estimates(result.estimates, grid)
-            write_kde_csv(sibling_path(ns.out, f"kde.{cfg.estimator_id}"), grid, density)
-        print(
+        lines.append(
             f"{cfg.estimator_id}: {format_real(summary.mean)} +/- {format_real(summary.stderr)}"
             f" (mse = {format_real(summary.mse)})"
         )
+        if cfg.replications >= 10:
+            grid = kde_grid(result.estimates)
+            kdes.append((sibling_path(ns.out, f"kde.{cfg.estimator_id}"), grid,
+                         kde_of_estimates(result.estimates, grid)))
+    print("\n".join(lines))
+    for path, grid, density in kdes:
+        write_kde_csv(path, grid, density)
     out = write_summary_csv(ns.out, rows)
     mapping = {"command": "compare", **config_mapping(cfgs[0]), "estimator": ",".join(ids)}
     write_config_sidecar(out, mapping)

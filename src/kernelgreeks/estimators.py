@@ -740,4 +740,14 @@ def _finite_difference_sum(model: GbmParams, payoff: Payoff, fd: FdConfig, base)
     down = model.spot - (1.0 - fd.alpha) * fd.bump
     if down <= 0.0:
         raise DegenerateBump(f"downward bump crosses zero spot: {down}")
-    return np.sum(payoff(up * base) - payoff(down * base), axis=-1)
+    # lr reads the same unit states after fd in a block, so base is kept
+    return np.sum(_payoff_difference(payoff, up, down, base, np.empty_like(base)), axis=-1)
+
+
+def _payoff_difference(payoff: Payoff, up: float, down: float, base, spare, out=None):
+    """payoff(up * base) - payoff(down * base), formed in ``out`` (a fresh
+    array when None) with ``spare``, which may be ``base`` itself, as scratch."""
+    out = np.multiply(up, base, out=out)
+    payoff(out, out=out)
+    payoff(np.multiply(down, base, out=spare), out=spare)
+    return np.subtract(out, spare, out=out)

@@ -35,6 +35,7 @@ from .estimators import (
     _kernel_sums,
     _KernelSum,
     _likelihood_ratio_sum,
+    _payoff_difference,
     _require_bandwidth,
     _require_support,
 )
@@ -49,7 +50,6 @@ from .models import (
     closed_form_vanilla_delta,
     simulate_terminal,
 )
-from .models import _pipelined_unit_averages
 from .randomizers import Randomizer
 from .rng import PILOT_OFFSET, STREAM_REFERENCE, rekey, replication_ids, skip, stream, sweep_base
 
@@ -153,6 +153,8 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be finite, got {value!r}")
         if not 0.0 <= self.fd_alpha <= 1.0:
             raise ValueError(f"fd_alpha must lie in [0, 1], got {self.fd_alpha!r}")
+        if self.fd_eps <= 0.0:
+            raise ValueError(f"fd_eps must be positive, got {self.fd_eps!r}")
         if self.antithetic:
             if self.estimator_id not in KERNEL_ESTIMATORS:
                 raise ValueError("antithetic pairing applies to kernel estimators only")
@@ -768,10 +770,7 @@ def tune_fd_bump(
     for frac in _FD_BUMP_FRACTIONS:
         eps = frac * model.spot
         for diff, bump, width in ((full, 0.5 * eps, eps), (half, 0.25 * eps, 0.5 * eps)):
-            # (payoff((spot + bump) base) - payoff((spot - bump) base)) / width
-            payoff(np.multiply(model.spot + bump, base, out=up), out=up)
-            payoff(np.multiply(model.spot - bump, base, out=diff), out=diff)
-            np.subtract(up, diff, out=diff)
+            _payoff_difference(payoff, model.spot + bump, model.spot - bump, base, up, out=diff)
             diff /= width
         bias = (float(np.mean(full)) - float(np.mean(half))) / 0.75
         score = bias * bias + float(np.var(full, ddof=1)) / n_target
@@ -793,47 +792,30 @@ def asian_fd_reference(
     fixed-size chunks so memory stays bounded and the result is
     reproducible.
 
-    Three things overlap, on two pool threads and the caller: one thread
-    tunes the bump on its own stream, the other draws the next 2^17-normal
-    block of the reference stream into one of two reused buffers, and the
-    caller averages the block before it in that block's buffer and reduces
-    each full chunk, the first one once the bump is known. Each stream has
-    one draw in flight at a time, in order, and the chunks, their sums and
-    the order in which they are added are those of the serial loop, so the
-    result equals it bit for bit. At M = 50 on a 2-vCPU Xeon one call
-    takes 0.6-0.75 s at 5e5 paths (0.85-1.1 s serially) and about 13 s at
-    1e7 (17.3-17.9 s). Drawing the reference stream alone takes
-    11.3-12.3 s at 1e7, which bounds this design from below
-    (BENCH_asian_reference.json).
+    One pool thread tunes the bump on its own stream while each chunk's
+    averages are filled by ``asian_unit_averages`` with the pool, which
+    draws the next block of the reference stream while the caller averages
+    the one before it. The chunks, their sums and the order in which they
+    are added are those of the serial loop, so the result equals it bit for
+    bit. At M = 50 on a 2-vCPU Xeon one call takes 0.6-0.75 s at 5e5 paths
+    (0.85-1.1 s serially) and about 13 s at 1e7 (17.3-17.9 s). Drawing the
+    reference stream alone takes 11.3-12.3 s at 1e7, which bounds this
+    design from below (BENCH_asian_reference.json).
     """
     if n < 1:
         raise ValueError(f"need n >= 1 paths, got {n}")
     with ThreadPoolExecutor(max_workers=2) as pool:
         bump = pool.submit(tune_fd_bump, model, payoff, asian, seed, n_target=n)
         rng = stream(seed, STREAM_REFERENCE + 1)
-        blocks = _pipelined_unit_averages(model, asian, rng, n, pool)
         chunk, scratch = (np.empty(min(n, _REFERENCE_CHUNK)) for _ in range(2))
-        averages = np.empty(0)
         total = 0.0
         for done in range(0, n, _REFERENCE_CHUNK):
-            base = chunk[: min(_REFERENCE_CHUNK, n - done)]
-            filled = 0
-            while filled < base.size:
-                if not averages.size:
-                    averages = next(blocks)
-                take = min(base.size - filled, averages.size)
-                base[filled : filled + take] = averages[:take]
-                averages = averages[take:]
-                filled += take
-            if done == 0:
-                eps = bump.result()
-                up, down = model.spot + 0.5 * eps, model.spot - 0.5 * eps
-            # payoff(up * base) - payoff(down * base) in one scratch buffer and
-            # in base, which the next chunk refills
-            diff = scratch[: base.size]
-            payoff(np.multiply(up, base, out=diff), out=diff)
-            payoff(np.multiply(down, base, out=base), out=base)
-            np.subtract(diff, base, out=diff)
+            size = min(_REFERENCE_CHUNK, n - done)
+            base = asian_unit_averages(model, asian, rng, size, out=chunk[:size], pool=pool)
+            eps = bump.result()
+            # base is the scratch of the difference: the next chunk refills it
+            diff = _payoff_difference(payoff, model.spot + 0.5 * eps, model.spot - 0.5 * eps,
+                                      base, base, out=scratch[:size])
             total += float(np.sum(diff))
     return total / (n * eps)
 

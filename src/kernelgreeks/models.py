@@ -161,59 +161,42 @@ def simulate_asian(g: GbmParams, cfg: AsianConfig, gauss_path, spot=None, out=No
 
 
 def asian_unit_averages(
-    g: GbmParams, cfg: AsianConfig, rng: np.random.Generator, n: int, out=None
+    g: GbmParams, cfg: AsianConfig, rng: np.random.Generator, n: int, out=None, pool=None
 ) -> np.ndarray:
     """Unit-spot averages of n paths whose normals are drawn from rng.
 
     The normals are drawn in row blocks of at most ``_ASIAN_BLOCK``
-    elements into one reused buffer, which each block's averaging then
+    elements into a reused buffer, which each block's averaging then
     overwrites, so memory does not grow with n. A Philox stream continues
     bit for bit across draws, and each row's average reads only its own
     normals, so the result equals
     ``simulate_asian(g, cfg, rng.standard_normal((n, cfg.steps)), spot=1.0)``
     exactly; multiply it by a spot to get the states at that spot. ``out``,
     when given, is an (n,) float array that receives the averages.
+
+    With an executor ``pool``, a task on it draws block k + 1 into a second
+    buffer while the caller averages block k. A draw starts only after the
+    one before it has finished, so the stream is read in order, and a
+    buffer is drawn into again only after its block has been averaged; the
+    values are those of the loop without a pool.
     """
     rows = max(1, min(n, _ASIAN_BLOCK // cfg.steps))
-    block = np.empty((rows, cfg.steps))
+    buffers = [np.empty((rows, cfg.steps)) for _ in range(1 if pool is None else 2)]
     if out is None:
         out = np.empty(n)
-    for start in range(0, n, rows):
-        part = block[: min(rows, n - start)]
-        rng.standard_normal(out=part)
-        out[start : start + part.shape[0]] = simulate_asian(g, cfg, part, 1.0, out=part)
-    return out
 
-
-def _pipelined_unit_averages(
-    g: GbmParams, cfg: AsianConfig, rng: np.random.Generator, n: int, pool
-):
-    """Yield the unit-spot averages of n paths block by block, while a task
-    on ``pool`` draws the next block's normals.
-
-    The blocks and their values are those of ``asian_unit_averages``.
-    Each draw goes into one of two reused buffers and starts only after
-    the previous draw has finished, so the stream is consumed in order;
-    the caller averages block k in its buffer while block k + 1 is drawn
-    into the other. Block k's averages, a fresh array, are complete before
-    they are yielded, and so before the draw of block k + 2 reuses its
-    buffer.
-    """
-    rows = max(1, min(n, _ASIAN_BLOCK // cfg.steps))
-    ring = (np.empty((rows, cfg.steps)), np.empty((rows, cfg.steps)))
-
-    def draw(k: int):
-        part = ring[k % 2][: min(rows, n - k * rows)]
+    def draw(start: int):
+        part = buffers[start // rows % len(buffers)][: min(rows, n - start)]
         rng.standard_normal(out=part)
         return part
 
-    blocks = -(-n // rows)
-    pending = pool.submit(draw, 0)
-    for k in range(blocks):
-        part = pending.result()
-        if k + 1 < blocks:
-            pending = pool.submit(draw, k + 1)
-        yield np.atleast_1d(simulate_asian(g, cfg, part, 1.0, out=part))
+    pending = None
+    for start in range(0, n, rows):
+        part = draw(start) if pending is None else pending.result()
+        if pool is not None and start + rows < n:
+            pending = pool.submit(draw, start + rows)
+        out[start : start + part.shape[0]] = simulate_asian(g, cfg, part, 1.0, out=part)
+    return out
 
 
 # -- lognormal analytics ---------------------------------------------------

@@ -2,14 +2,17 @@
 
 The benchmark is kept fixed while the package changes, so these tests hold
 the names and signatures it reaches: the traced functions and methods, the
-``run_replications`` that ``compare`` calls, the ``kind`` keyword of
-``Randomizer`` and the bandwidth that a double-kernel result reports.
+``run_replications`` that ``compare`` calls, the pool class whose tasks the
+tracer parents, the ``kind`` keyword of ``Randomizer`` and the bandwidth
+that a double-kernel result reports.
 """
 
 import importlib.util
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from kernelgreeks import ExperimentConfig, GbmParams, cli, digital_call, harness
+from kernelgreeks import ExperimentConfig, GbmParams, cli, digital_call, harness, models
+from kernelgreeks.models import AsianConfig
 from kernelgreeks.randomizers import Randomizer
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -33,6 +36,28 @@ def test_tracer_finds_every_traced_name():
 def test_compare_calls_the_harness_run_replications():
     # european_compare captures the results by patching this name on cli
     assert cli.run_replications is harness.run_replications
+
+
+def test_reference_tasks_run_on_the_harness_pool(monkeypatch):
+    # the tracer rebinds harness.ThreadPoolExecutor to parent the bump task
+    # and the reference draws; a pool built elsewhere would escape it
+    submitted = []
+
+    class CountingPool(ThreadPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            submitted.append(fn)
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr(harness, "_REFERENCE_CHUNK", 300)
+    monkeypatch.setattr(models, "_ASIAN_BLOCK", 5 * 64)
+    model = GbmParams(spot=120.0, rate=0.0, vol=0.2, maturity=1.0)
+    harness.asian_fd_reference(model, digital_call(120.0), AsianConfig(steps=5), 3, n=1000)
+    # chunks of 300, 300, 300 and 100 paths in blocks of 64 rows: each
+    # chunk draws its first block itself and the rest on the pool
+    draws = sum(-(-size // 64) - 1 for size in (300, 300, 300, 100))
+    assert submitted[0] is harness.tune_fd_bump
+    assert len(submitted) == 1 + draws
 
 
 def test_randomizer_takes_a_kind_keyword():

@@ -362,6 +362,8 @@ def test_compare_skips_kde_for_few_replications(tmp_path, capsys):
         ["--estimator", "uniform,lr", "--antithetic"],
         ["--estimator", "uniform,fd,lr", "--asian-steps", "4"],
         ["--estimator", "uniform,fd", "--alpha", "2"],
+        ["--estimator", "uniform,fd", "--fd-eps", "0"],
+        ["--estimator", "uniform,fd", "--fd-eps", "-1"],
     ],
 )
 def test_compare_rejects_an_invalid_estimator_before_any_work(tmp_path, capsys, monkeypatch,
@@ -375,6 +377,18 @@ def test_compare_rejects_an_invalid_estimator_before_any_work(tmp_path, capsys, 
         run_cli("compare", "--n", "2000", "--reps", "12", "--out", str(tmp_path / "x.csv"),
                 *extra)
     assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len([line for line in captured.err.splitlines() if "error: " in line]) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_compare_that_fails_at_replication_time_leaves_no_output(tmp_path, capsys):
+    # the fd bump crosses zero spot only inside fd's replications, after
+    # uniform has finished: no line is printed and no file is written
+    code = run_cli("compare", "--estimator", "uniform,fd", "--fd-eps", "300", "--n", "200",
+                   "--reps", "10", "--out", str(tmp_path / "c.csv"))
+    assert code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len([line for line in captured.err.splitlines() if "error: " in line]) == 1

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -110,21 +111,24 @@ def test_asian_spot_linearity():
 @pytest.mark.parametrize("steps", [1, 2, 7, 50])
 @pytest.mark.parametrize("scheme", ["trapezoid", "left"])
 def test_streamed_asian_averages_match_one_draw(monkeypatch, steps, scheme):
-    # Philox draws continue bit for bit across row blocks; None keeps the
+    # Philox draws continue bit for bit across row blocks, also when a pool
+    # draws the next block while the caller averages; None keeps the
     # module's own block size
     cfg = AsianConfig(steps=steps, scheme=scheme)
     default_block = models._ASIAN_BLOCK
-    for n in (1, 3, 4095, 4097, 10001):
-        full = stream(3, 11).standard_normal((n, steps))
-        kept = full.copy()
-        want = np.atleast_1d(simulate_asian(PAPER, cfg, full, spot=1.0))
-        assert np.array_equal(full, kept)
-        for rows in (1, 5, 4096, None):
-            block = default_block if rows is None else rows * steps
-            monkeypatch.setattr(models, "_ASIAN_BLOCK", block)
-            got = asian_unit_averages(PAPER, cfg, stream(3, 11), n)
-            assert got.shape == (n,)
-            assert np.array_equal(got, want), (n, rows)
+    with ThreadPoolExecutor(max_workers=2) as executor:
+        for n in (0, 1, 3, 4095, 4097, 10001):
+            full = stream(3, 11).standard_normal((n, steps))
+            kept = full.copy()
+            want = np.atleast_1d(simulate_asian(PAPER, cfg, full, spot=1.0))
+            assert np.array_equal(full, kept)
+            for rows in (1, 5, 4096, None):
+                block = default_block if rows is None else rows * steps
+                monkeypatch.setattr(models, "_ASIAN_BLOCK", block)
+                for pool in (None, executor):
+                    got = asian_unit_averages(PAPER, cfg, stream(3, 11), n, pool=pool)
+                    assert got.shape == (n,)
+                    assert np.array_equal(got, want), (n, rows, pool)
 
 
 @pytest.mark.parametrize("steps", [1, 7, 50])
