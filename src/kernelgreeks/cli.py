@@ -25,7 +25,7 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import KernelGreeksError
+from .errors import InvalidConfigFile, KernelGreeksError
 from .export import (
     config_mapping,
     format_real,
@@ -111,18 +111,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: the spellings of a boolean in a config file, in any case
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
+
+
 def _mapping_to_argv(mapping: dict) -> list[str]:
     argv: list[str] = []
     for key, value in mapping.items():
         if key in ("command", "config") or value is None:
             continue
         if key == "antithetic":
-            truthy = value if isinstance(value, bool) else str(value).lower() in (
-                "1",
-                "true",
-                "yes",
-                "on",
-            )
+            truthy = value if isinstance(value, bool) else _BOOLEANS.get(str(value).lower())
+            if truthy is None:
+                raise InvalidConfigFile(f"antithetic must be a boolean, got {value!r}")
             argv.append("--antithetic" if truthy else "--no-antithetic")
             continue
         argv.extend([f"--{key}", str(value)])
@@ -284,7 +286,8 @@ def _cmd_compare(ns, parser) -> int:
             f"{cfg.estimator_id}: {format_real(summary.mean)} +/- {format_real(summary.stderr)}"
             f" (mse = {format_real(summary.mse)})"
         )
-        if cfg.replications >= 10:
+        # a density needs 10 estimates that are not all equal
+        if cfg.replications >= 10 and summary.variance > 0.0:
             grid = kde_grid(result.estimates)
             kdes.append((sibling_path(ns.out, f"kde.{cfg.estimator_id}"), grid,
                          kde_of_estimates(result.estimates, grid)))

@@ -740,6 +740,8 @@ def _finite_difference_sum(model: GbmParams, payoff: Payoff, fd: FdConfig, base)
     down = model.spot - (1.0 - fd.alpha) * fd.bump
     if down <= 0.0:
         raise DegenerateBump(f"downward bump crosses zero spot: {down}")
+    if not down < up:
+        raise DegenerateBump(f"bump {fd.bump!r} vanishes at spot {model.spot!r}")
     # lr reads the same unit states after fd in a block, so base is kept
     return np.sum(_payoff_difference(payoff, up, down, base, np.empty_like(base)), axis=-1)
 

@@ -289,14 +289,6 @@ def _draws_per_row(cfg: ExperimentConfig) -> int:
     return cfg.n_samples // 2 if cfg.antithetic else cfg.n_samples
 
 
-def _attempt(fn, *args):
-    """fn(*args), or the exception it raised."""
-    try:
-        return fn(*args)
-    except Exception as exc:
-        return exc
-
-
 def _leaf_limit() -> int:
     """The most draws of a row that one leaf holds."""
     return max(_BLOCK_ELEMENTS, _PAIRWISE_BLOCK)
@@ -347,7 +339,7 @@ def _worker_buffers(members, rows: int) -> tuple:
 
 def _evaluate_block(members, first_id: int, gens, draws, unit) -> list:
     """The estimates of replications first_id .. first_id + rows - 1 for each
-    member (cfg, plan): a (rows,) array, or the exception that stopped it.
+    member (cfg, plan), a (rows,) array each; the first failed check raises.
 
     The members agree on model, state, N, seed and antithetic pairing, so
     they share their draws, and the block is evaluated in one pass over its
@@ -373,24 +365,16 @@ def _evaluate_block(members, first_id: int, gens, draws, unit) -> list:
     direct and mirrored apart under antithetic pairing; they are added up
     numpy's summation tree and finished by its plan with the row's N in the
     same operation order as a lone replication, so the estimates are the
-    same bits. A failed check stops the members it concerns for the whole block.
+    same bits. The checks run in that order, leaf by leaf: the kernel
+    groups, fd, lr, and last the finish of each member.
     """
     cfg = members[0][0]
     spot, m, rows = cfg.model.spot, _draws_per_row(cfg), unit.shape[0]
     limit = _row_limit(members)
     leaves = _tree_leaves(m, limit)
-    outcomes = [None] * len(members)
     # member -> its sums per leaf: a list of one array, or of two under
     # antithetic pairing
     sums = [[] for _ in members]
-
-    def keep(i: int, value) -> None:
-        """Record member i's error, or its sums of each pairing side."""
-        if isinstance(value, Exception):
-            outcomes[i] = value
-        else:
-            sums[i].append(value)
-
     groups, plain = {}, []
     for i, (c, p) in enumerate(members):
         if p.randomizer is None:
@@ -401,8 +385,6 @@ def _evaluate_block(members, first_id: int, gens, draws, unit) -> list:
     # scale them in place
     plain.sort(key=lambda i: members[i][0].estimator_id == "lr")
     for k, (_, size) in enumerate(leaves):
-        if all(v is not None for v in outcomes):
-            break
         u, scratch, z = draws[0, :, :size], draws[1, :, :size], unit[:, :size]
         for j in range(rows):
             if k == 0:
@@ -423,33 +405,22 @@ def _evaluate_block(members, first_id: int, gens, draws, unit) -> list:
             # states are linear in the spot; these are the states at spot 1
             simulate_terminal(cfg.model, z, spot=1.0, out=z)
         for (randomizer, _, double), shared in groups.items():
-            live = [i for i in shared if outcomes[i] is None]
-            if not live:
-                continue
             # a lone group may take the uniforms' place, and the scratch
             # buffer then stays untouched, which keeps its pages unmapped
-            out = u if len(groups) == 1 else scratch
-            offsets = _attempt(randomizer.sample_offsets, u, out)
-            if isinstance(offsets, Exception):
-                for i in live:
-                    outcomes[i] = offsets
-                continue
+            offsets = randomizer.sample_offsets(u, u if len(groups) == 1 else scratch)
             mirrored = offsets + spot if cfg.antithetic else None
             # the spots overwrite the offsets, which no longer serve
             lams = np.subtract(spot, offsets, out=offsets)
             rows_of = _double_rows if double else _kernel_rows
-            values = _paired(rows_of, [members[i] for i in live], lams, mirrored, z)
-            for i, v in zip(live, values):
-                keep(i, v)
-        live = [i for i in plain if outcomes[i] is None]
-        for pos, i in enumerate(live):
-            total = _attempt(_noise_sum, members[i][0], z, pos == len(live) - 1)
-            keep(i, total if isinstance(total, Exception) else [total])
-    for i, (c, p) in enumerate(members):
-        if outcomes[i] is None:
-            totals = [_tree_add(m, limit, iter(side)) for side in zip(*sums[i])]
-            outcomes[i] = _attempt(_finished, c.estimator_id, p.finish, totals, m)
-    return outcomes
+            values = _paired(rows_of, [members[i] for i in shared], lams, mirrored, z)
+            for i, v in zip(shared, values):
+                sums[i].append(v)
+        for i in plain:
+            sums[i].append([_noise_sum(members[i][0], z, i == plain[-1])])
+    return [
+        _finished(c.estimator_id, p.finish, [_tree_add(m, limit, iter(t)) for t in zip(*kept)], m)
+        for (c, p), kept in zip(members, sums)
+    ]
 
 
 def _finished(eid: str, finish, totals: list, n: int):
@@ -463,15 +434,11 @@ def _finished(eid: str, finish, totals: list, n: int):
 def _paired(rows_of, members, lams, mirrored, unit) -> list:
     """``rows_of`` the members at the spots ``lams`` and, under antithetic
     pairing, at the ``mirrored`` ones: for each member a list of one or two
-    results, or the exception that stopped it. Members that fail at
-    ``lams`` skip the mirrored spots."""
-    values = [v if isinstance(v, Exception) else [v] for v in rows_of(members, lams, unit)]
-    live = [k for k, v in enumerate(values) if not isinstance(v, Exception)]
-    if mirrored is not None and live:
-        other = rows_of([members[k] for k in live], mirrored, unit)
-        for k, v in zip(live, other):
-            values[k] = v if isinstance(v, Exception) else values[k] + [v]
-    return values
+    results."""
+    sides = [rows_of(members, lams, unit)]
+    if mirrored is not None:
+        sides.append(rows_of(members, mirrored, unit))
+    return [list(side) for side in zip(*sides)]
 
 
 def _noise_sum(cfg: ExperimentConfig, unit, consume: bool) -> np.ndarray:
@@ -488,9 +455,8 @@ def _noise_sum(cfg: ExperimentConfig, unit, consume: bool) -> np.ndarray:
 
 def _kernel_rows(members, lams, unit) -> list:
     """Each member's single-kernel sums of the draws at spots ``lams``, one
-    per row, or the exception that stopped it; the members share
-    randomizer and payoff. ``lams`` serves as scratch and is
-    overwritten.
+    per row; the members share randomizer and payoff. ``lams`` serves as
+    scratch and is overwritten.
 
     Offsets, states, payoffs and the support check of the draws serve
     every member; the formulas were checked when the plans were resolved.
@@ -504,27 +470,24 @@ def _kernel_rows(members, lams, unit) -> list:
     states = np.multiply(lams, unit)
     payoffs = cfg.payoff(states, out=states)
     offsets = np.subtract(cfg.model.spot, lams, out=lams)
-    outside = _attempt(_require_support, offsets, plan.randomizer)
-    if outside is not None:
-        return [outside] * len(members)
-    outcomes = [None] * len(members)
+    _require_support(offsets, plan.randomizer)
     groups = {}
     for i, (_, p) in enumerate(members):
         key = p.kernel.support_radius, p.kernel.coeffs.tobytes(), p.formula
         groups.setdefault(key, []).append(i)
+    totals = [None] * len(members)
     for g, idx in enumerate(groups.values()):
         p = members[idx[0]][1]
         u = offsets if g == len(groups) - 1 else None
-        total = _attempt(_kernel_sums, p.kernel, p.formula, payoffs, offsets, u)
+        total = _kernel_sums(p.kernel, p.formula, payoffs, offsets, u)
         for i in idx:
-            outcomes[i] = total
-    return outcomes
+            totals[i] = total
+    return totals
 
 
 def _double_rows(members, lams, unit) -> list:
     """Each double-kernel member's estimates of the draws at spots ``lams``,
-    one per row, or the exception that stopped it; the members share
-    randomizer and payoff. The estimator
+    one per row; the members share randomizer and payoff. The estimator
     does not reduce row by row, so each row runs through
     :func:`estimate_double_kernel` on its own, and its rows are whole
     (:func:`_row_limit`)."""
@@ -540,7 +503,7 @@ def _double_rows(members, lams, unit) -> list:
             for row in zip(lams, states, payoffs)
         ])
 
-    return [_attempt(rows, plan) for _, plan in members]
+    return [rows(plan) for _, plan in members]
 
 
 def _with_index(exc: Exception, j: int) -> Exception:
@@ -566,9 +529,10 @@ def _default_workers() -> int:
     return min(4, os.cpu_count() or 1)
 
 
-def _replicate(members, ids: range, workers: int) -> list:
-    """Replicate ``members`` (cfg, plan) on the streams ``ids``: for each
-    member, its (estimates, runtime_ms) arrays or its error.
+def _replicate(members, ids: range, workers: int) -> tuple:
+    """Replicate ``members`` (cfg, plan) on the streams ``ids``: each
+    member's estimates and the rows' ``runtime_ms``, or the error of the
+    first failing replication.
 
     The members share their draws and run in blocks of
     max(1, min(2^16 // N, ceil(R / workers))) replications, so that every
@@ -577,9 +541,12 @@ def _replicate(members, ids: range, workers: int) -> list:
     is the double kernel. Each worker holds its buffers for the run, sized
     by the block or the leaf, so memory grows with neither N nor R, except
     for the double kernel's whole rows. Each row's ``runtime_ms`` is the
-    block's wall time divided by its rows times the members it evaluated.
-    A member's error names its first failing replication, and later blocks
-    skip the member.
+    block's wall time divided by its rows times the members. A block that
+    raises is run again one row at a time to name its first failing
+    replication, and the error of that row alone is raised with "replication
+    j" in its message and the original as its cause. Blocks are collected in
+    order, so the lowest failing replication wins, and the later blocks not
+    yet started are skipped.
     """
     cfg = members[0][0]
     r_count = len(ids)
@@ -592,83 +559,48 @@ def _replicate(members, ids: range, workers: int) -> list:
     for _ in range(w):
         free.put(_worker_buffers(members, rows))
     estimates = [np.empty(r_count) for _ in members]
-    runtimes = [np.empty(r_count) for _ in members]
-    # member -> (first failing replication, its error); only ``collect``
-    # writes it, in block order, so a block starting later than one that
-    # failed a member may skip that member
-    errors = {}
+    runtime_ms = np.empty(r_count)
 
-    def evaluate(active: list, start: int, count: int) -> list:
+    def evaluate(start: int, count: int) -> list:
         gens, draws, unit = free.get()
         try:
-            values = _attempt(
-                _evaluate_block, [members[i] for i in active], ids[start], gens,
-                draws[:, :count], unit[:count],
-            )
+            return _evaluate_block(members, ids[start], gens, draws[:, :count], unit[:count])
         finally:
             free.put((gens, draws, unit))
-        return [values] * len(active) if isinstance(values, Exception) else values
 
     def job(start: int):
         count = min(rows, r_count - start)
-        active = [i for i in range(len(members)) if i not in errors]
-        if not active:
-            return start, count, {}, {}, 0.0
         t0 = time.perf_counter()
-        outcomes = dict(zip(active, evaluate(active, start, count)))
-        ms = (time.perf_counter() - t0) * 1e3 / (count * len(active))
-        failed = {i: (start, v) for i, v in outcomes.items() if isinstance(v, Exception)}
-        pending = list(failed) if count > 1 else []
-        for j in range(start, start + count):
-            if not pending:
-                break
+        try:
+            values = evaluate(start, count)
+        except Exception as exc:
+            failed, error = start, exc
             # name the first replication that fails on its own
-            alone = evaluate(pending, j, 1)
-            for i, v in zip(pending, alone):
-                if isinstance(v, Exception):
-                    failed[i] = (j, v)
-            pending = [i for i, v in zip(pending, alone) if not isinstance(v, Exception)]
-        return start, count, outcomes, failed, ms
+            for j in range(start, start + count) if count > 1 else ():
+                try:
+                    evaluate(j, 1)
+                except Exception as alone:
+                    failed, error = j, alone
+                    break
+            raise _with_index(error, failed)
+        return start, count, values, (time.perf_counter() - t0) * 1e3 / (count * len(members))
 
     def collect(results) -> None:
-        for start, count, outcomes, failed, ms in results:
-            for i, values in outcomes.items():
-                if i in failed:
-                    errors.setdefault(i, failed[i])
-                else:
-                    estimates[i][start : start + count] = values
-                    runtimes[i][start : start + count] = ms
+        for start, count, values, ms in results:
+            for out, v in zip(estimates, values):
+                out[start : start + count] = v
+            runtime_ms[start : start + count] = ms
 
     if w == 1:
         collect(map(job, starts))
     else:
         with ThreadPoolExecutor(max_workers=w) as pool:
             collect(pool.map(job, starts))
-    return [
-        _with_index(errors[i][1], errors[i][0]) if i in errors else (estimates[i], runtimes[i])
-        for i in range(len(members))
-    ]
+    return estimates, runtime_ms
 
 
 #: the fields that the configs of a common run must share
 _COMMON_FIELDS = ("model", "asian", "n_samples", "replications", "seed", "antithetic")
-
-
-def _run_common(cfgs: tuple, workers: int | None, stream_base: int) -> list:
-    """Each config's RunResult, or the error that stopped it."""
-    if not cfgs:
-        return []
-    ids = replication_ids(stream_base, cfgs[0].replications)
-    plans = [_attempt(resolve_run, cfg, stream_base) for cfg in cfgs]
-    outcomes = list(plans)  # a config whose plan failed keeps that error
-    live = [i for i, plan in enumerate(plans) if not isinstance(plan, Exception)]
-    if not live:
-        return outcomes
-    w = _default_workers() if workers is None else max(1, workers)
-    done = _replicate([(cfgs[i], plans[i]) for i in live], ids, w)
-    for i, result in zip(live, done):
-        outcomes[i] = result if isinstance(result, Exception) else RunResult(*result, plans[i])
-    return outcomes
 
 
 class CommonRun:
@@ -688,8 +620,11 @@ class CommonRun:
 
     The configs must agree on model, averaged state, N, R, seed and
     antithetic pairing; otherwise the constructor raises ValueError. The
-    group runs once, on the first call of :meth:`result`, and keeps every
-    config's result or error, so a caller can report the configs one by one.
+    group runs once, on the first call of :meth:`result`, and fails as
+    one: every config's result raises the group's one error. That is the
+    error of the first plan that fails, in config order; otherwise that of
+    the lowest failing replication, and on it the first in the order of
+    evaluation: the kernel groups, then fd, then lr.
     """
 
     def __init__(self, cfgs, workers: int | None = None, stream_base: int = 0):
@@ -699,19 +634,28 @@ class CommonRun:
                 if getattr(cfg, name) != getattr(self.cfgs[0], name):
                     raise ValueError(f"configs on common draws must agree on {name}")
         self.workers, self.stream_base = workers, stream_base
-        self._outcomes = None
+        self._outcome = None
+
+    def _run(self) -> list:
+        ids = replication_ids(self.stream_base, self.cfgs[0].replications)
+        plans = [resolve_run(cfg, self.stream_base) for cfg in self.cfgs]
+        w = _default_workers() if self.workers is None else max(1, self.workers)
+        estimates, runtime_ms = _replicate(list(zip(self.cfgs, plans)), ids, w)
+        return [RunResult(e, runtime_ms, plan) for e, plan in zip(estimates, plans)]
 
     def result(self, cfg: ExperimentConfig) -> RunResult:
-        """The result of ``cfg``, one of the group's configs; raises its error
-        if it failed."""
+        """The result of ``cfg``, one of the group's configs; raises the
+        group's error if it failed."""
         if cfg not in self.cfgs:
             raise ValueError("the config is not one of this common run's")
-        if self._outcomes is None:
-            self._outcomes = _run_common(self.cfgs, self.workers, self.stream_base)
-        outcome = self._outcomes[self.cfgs.index(cfg)]
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
+        if self._outcome is None:
+            try:
+                self._outcome = self._run()
+            except Exception as exc:
+                self._outcome = exc
+        if isinstance(self._outcome, Exception):
+            raise self._outcome
+        return self._outcome[self.cfgs.index(cfg)]
 
 
 def run_replications(
@@ -734,8 +678,9 @@ def run_replications(
     Estimator errors are re-raised with the index of the first failing
     replication prepended and the original chained. With ``common``, a
     :class:`CommonRun` that holds cfg, the result is cfg's share of that
-    group's run; the group fixes workers and stream base, so passing either
-    as well raises ValueError.
+    group's run, and an error of any of its configs is raised for every
+    one; the group fixes workers and stream base, so passing either as
+    well raises ValueError.
     """
     if common is None:
         return CommonRun([cfg], workers, stream_base).result(cfg)

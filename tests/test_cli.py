@@ -546,6 +546,40 @@ def test_config_file_errors_end_in_one_error_line(tmp_path, capsys):
         assert len(err) == 1 and err[0].startswith("error: ")
 
 
+def test_config_file_booleans_are_checked(tmp_path, capsys):
+    flat = tmp_path / "typo.cfg"
+    flat.write_text("antithetic=ture\n")
+    spelled = tmp_path / "nope.json"
+    spelled.write_text('{"antithetic": "nope"}\n')
+    out = tmp_path / "out"
+    out.mkdir()
+    for path in (flat, spelled):
+        code = run_cli("estimate", "--config", str(path), "--n", "100", "--reps", "2",
+                       "--out", str(out / "e.csv"))
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: antithetic must be a boolean")
+    assert list(out.iterdir()) == []
+    # a bool, or one of eight spellings in any case
+    for value, flag in ((True, "--antithetic"), ("Yes", "--antithetic"), ("ON", "--antithetic"),
+                        ("1", "--antithetic"), (False, "--no-antithetic"),
+                        ("off", "--no-antithetic"), ("No", "--no-antithetic"),
+                        ("0", "--no-antithetic"), ("FALSE", "--no-antithetic")):
+        assert cli._mapping_to_argv({"antithetic": value}) == [flag]
+
+
+def test_compare_skips_the_density_of_a_constant_sample(tmp_path, capsys):
+    # far out of the money every estimate is exactly 0, as under estimate
+    code = run_cli("compare", "--estimator", "uniform,lr", "--bandwidth", "5", "--strike", "1e6",
+                   "--n", "1000", "--reps", "10", "--out", str(tmp_path / "z.csv"))
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["uniform", "lr"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["z.config.json", "z.csv"]
+
+
 def test_bad_arguments_exit_with_usage_error():
     for argv in (
         ["estimate", "--estimator", "pathwise"],
@@ -605,6 +639,8 @@ def test_out_of_range_seed_is_a_usage_error():
         ["--estimator", "fd", "--alpha", "2"],
         ["--estimator", "fd", "--alpha", "-0.5"],
         ["--asian-steps", "-3"],
+        # a bump at which both bumped spots round to the spot
+        ["--estimator", "fd", "--fd-eps", "1e-300"],
     ],
 )
 def test_degenerate_inputs_end_in_one_error_line(argv):

@@ -766,6 +766,12 @@ def test_fd_guards():
         estimate_finite_difference(
             small, identity_payoff(), FdConfig(alpha=0.0, bump=2.0), np.zeros(4)
         )
+    # both bumped spots round to the spot, so every difference would be 0
+    for alpha in (0.0, 0.5, 1.0):
+        with pytest.raises(DegenerateBump, match="vanishes at spot"):
+            estimate_finite_difference(
+                PAPER, identity_payoff(), FdConfig(alpha=alpha, bump=1e-300), np.zeros(4)
+            )
 
 
 def test_estimate_is_frozen_record():

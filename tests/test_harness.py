@@ -1047,12 +1047,11 @@ def test_a_fault_in_the_last_leaf_names_its_replication(monkeypatch, value, erro
     cfgs = [base_config(estimator_id=eid, n_samples=n, replications=11) for eid in ("hat", "uniform")]
     cfgs.append(base_config(estimator_id="fd", bandwidth=1.0, n_samples=n, replications=11))
     group = CommonRun(cfgs, workers=workers)
-    for cfg in cfgs[:2]:
+    # fd draws no uniforms, but the group fails as one
+    for cfg in cfgs:
         with pytest.raises(error, match="^replication 6: ") as info:
             group.result(cfg)
         assert isinstance(info.value.__cause__, error)
-    # fd draws no uniforms and keeps its estimates
-    assert np.all(np.isfinite(group.result(cfgs[2]).estimates))
 
 
 def test_compare_memory_does_not_grow_with_n():
@@ -1189,18 +1188,49 @@ def test_common_run_needs_configs_that_share_their_draws():
             run_replications(base, common=group, **extra)
 
 
-def test_common_run_keeps_each_configs_error():
+def test_common_run_fails_as_one():
     uniform = base_config(replications=3)
     fd = base_config(estimator_id="fd", bandwidth=1.0, fd_eps=300.0, replications=3)
     tilted = base_config(theta=0.1, replications=3)
+    group = CommonRun([uniform, fd], workers=1)
+    for cfg in (uniform, fd):
+        with pytest.raises(DegenerateBump, match="^replication 0: downward bump") as info:
+            group.result(cfg)
+        assert isinstance(info.value.__cause__, DegenerateBump)
+    # a failing plan stops the group before fd's replications fail
     group = CommonRun([fd, uniform, tilted], workers=1)
-    alone = run_replications(uniform)
-    assert group.result(uniform).estimates.tolist() == alone.estimates.tolist()
-    with pytest.raises(DegenerateBump, match="^replication 0: downward bump") as info:
-        group.result(fd)
-    assert isinstance(info.value.__cause__, DegenerateBump)
-    with pytest.raises(RandomizerMismatch, match="^a uniform randomizer cannot carry a tilt"):
-        run_replications(tilted, common=group)
+    errors = []
+    for cfg in group.cfgs:
+        with pytest.raises(RandomizerMismatch, match="^a uniform randomizer cannot") as info:
+            run_replications(cfg, common=group)
+        errors.append(info.value)
+    assert errors[0] is errors[1] is errors[2]
+
+
+def test_a_fault_stops_the_later_blocks_of_every_member(monkeypatch):
+    # blocks of 4 rows; the uniforms of replication 2 fail hat, while fd
+    # reads only the noise: the row search runs 0, 1 and 2, and no later block
+    monkeypatch.setattr(harness, "_BLOCK_ELEMENTS", 4 * 50)
+    monkeypatch.setattr(
+        harness, "rekey",
+        lambda gen, seed, i: _FaultyStream(rekey(gen, seed, i), np.nan) if i == 2
+        else rekey(gen, seed, i),
+    )
+    blocks = []
+    evaluate = harness._evaluate_block
+
+    def recorded(members, first_id, gen, draws, unit):
+        blocks.append((first_id, unit.shape[0], len(members)))
+        return evaluate(members, first_id, gen, draws, unit)
+
+    monkeypatch.setattr(harness, "_evaluate_block", recorded)
+    cfgs = [base_config(estimator_id="hat", n_samples=50, replications=11),
+            base_config(estimator_id="fd", bandwidth=1.0, n_samples=50, replications=11)]
+    group = CommonRun(cfgs, workers=1)
+    for cfg in cfgs:
+        with pytest.raises(OutsideSupport, match="^replication 2: "):
+            group.result(cfg)
+    assert blocks == [(0, 4, 2), (0, 1, 2), (1, 1, 2), (2, 1, 2)]
 
 
 def test_common_runtime_is_shared_by_rows_and_estimators(monkeypatch):
@@ -1280,7 +1310,7 @@ def test_hat_check_and_uniform_agree_bit_for_bit(monkeypatch, n, antithetic):
     assert run_replications(cfgs[2], workers=1).estimates.tobytes() in estimates
 
 
-def test_shared_group_keeps_each_members_error():
+def test_shared_group_sums_each_member_and_raises_a_kernel_error():
     cfgs = [base_config(estimator_id=eid, n_samples=50) for eid in ("hat", "uniform", "check")]
     plans = [resolve_run(cfg) for cfg in cfgs]
     # a fourth member whose kernel fails to evaluate has terms of its own
@@ -1303,12 +1333,15 @@ def test_shared_group_keeps_each_members_error():
                              randomizer=plans[0].randomizer)
         want.append(estimate_single_kernel_hat(ss, ec).value)
         want_uniform.append(estimate_uniform_opt(ss, plans[1].kernel, plans[1].h).value)
-    hat, uniform, check, failed = harness._kernel_rows(list(zip(cfgs, plans)), lams, unit)
+    members = list(zip(cfgs, plans))
+    # the spots serve as scratch
+    hat, uniform, check = harness._kernel_rows(members[:3], lams.copy(), unit)
     # each member's row sums, finished by its plan
     assert [plans[i].finish(total, 50).tolist() for i, total in ((0, hat), (2, check))] == [
         want, want]
     assert plans[1].finish(uniform, 50).tolist() == want_uniform
-    assert isinstance(failed, ZeroDivisionError)
+    with pytest.raises(ZeroDivisionError, match="broken kernel"):
+        harness._kernel_rows(members, lams, unit)
 
 
 def test_each_formula_is_built_once_per_run(monkeypatch):
