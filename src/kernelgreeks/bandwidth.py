@@ -27,7 +27,7 @@ from .errors import (
     NonPositiveState,
     NonPositiveVariance,
 )
-from .kernels import Kernel
+from .kernels import Kernel, kernel_moment, kernel_roughness
 from .models import LognormalLaw, Payoff, law_density_ratio
 
 __all__ = [
@@ -282,13 +282,13 @@ def select_bandwidth(
     if law is None:
         law = LognormalLaw(m=m_hat, Sigma=Sigma_hat)
     p = kernel.order_p
-    moment_p = kernel.moment(p)
+    moment_p = kernel_moment(kernel, p)
     E = np.array([estimate_Ek(states, payoff, spot, k, law) for k in range(1, p + 2)])
     phi = payoff(states)
     second_moment = float(np.mean(phi * phi))
     if second_moment <= 0.0:
         raise NonPositiveVariance("payoff is identically zero on the pilot draws")
-    sigma_e = 2.0 * kernel.support_radius * second_moment * kernel.roughness()
+    sigma_e = 2.0 * kernel.support_radius * second_moment * kernel_roughness(kernel)
     if not (np.all(np.isfinite(E)) and math.isfinite(sigma_e)):
         raise DegenerateBandwidth("pilot payoff moments are not finite (the payoff overflows)")
     pilot = PilotEstimates(

@@ -197,6 +197,11 @@ def _experiment_config(ns, parser, estimator_id: str, n: int) -> ExperimentConfi
         parser.error(str(exc))
 
 
+def _require_summary_reps(ns, parser) -> None:
+    if ns.reps < 2:  # a summary needs two; bandwidth ignores --reps
+        parser.error(f"--reps must be at least 2 for a summary, got {ns.reps}")
+
+
 def _check_outputs(out, *tags) -> None:
     """Before any work, raise the OSError that writing ``out``, its config
     sidecar or its sibling of each tag would raise for a missing directory
@@ -209,10 +214,11 @@ def _check_outputs(out, *tags) -> None:
 
 def _cmd_estimate(ns, parser) -> int:
     cfg = _experiment_config(ns, parser, ns.estimator, _single_n(ns, parser))
+    _require_summary_reps(ns, parser)
     if ns.out:
         _check_outputs(ns.out, "raw")
-    result = run_replications(cfg)
     ref, source = reference_value(cfg)
+    result = run_replications(cfg)
     summary = summarize(result.estimates, ref, source)
     print(f"{format_real(summary.mean)} +/- {format_real(summary.stderr)}")
     print(f"reference = {format_real(ref)} ({source})")
@@ -254,6 +260,7 @@ def _cmd_sweep(ns, parser) -> int:
         parser.error("sweep needs --out for the rate CSV")
     grid = _n_grid(ns, parser)
     cfg = _experiment_config(ns, parser, ns.estimator, grid[0])
+    _require_summary_reps(ns, parser)
     _check_outputs(ns.out)
     fit = convergence_rate_fit(cfg, grid)
     out = write_rate_csv(ns.out, fit)
@@ -272,6 +279,7 @@ def _cmd_compare(ns, parser) -> int:
     n = _single_n(ns, parser)
     # every config is built, and the first invalid one reported, before any work
     cfgs = [_experiment_config(ns, parser, estimator_id, n) for estimator_id in ids]
+    _require_summary_reps(ns, parser)
     _check_outputs(ns.out, *(f"kde.{c.estimator_id}" for c in cfgs if c.replications >= 10))
     common = CommonRun(cfgs)
     reference, source = reference_value(cfgs[0])

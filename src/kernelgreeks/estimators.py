@@ -10,13 +10,15 @@ Estimator menu
 - ``estimate_single_kernel_hat`` / ``estimate_single_kernel_check`` /
   ``estimate_uniform_opt`` / ``estimate_exponential_opt``: entry points
   to one formula, sum phi(Z_i) (K'(u_i) + theta h K(u_i)) / (ell(0) N h^2)
-  with u_i = (lambda0 - Lambda_i) / h, built and checked by
-  :func:`_formula`. The randomizers form one tilted exponential family
-  whose log-density gradient theta is constant on the support; theta = 0
-  is the uniform randomizer. hat and check read theta from the randomizer,
-  so they agree bit for bit; uniform (theta = 0) and exponential couple
-  the support to the kernel window, epsilon = M h. A formula depends only
-  on epsilon, theta and h, so at theta = 0 they are one, reading no K(u).
+  with u_i = (lambda0 - Lambda_i) / h, built by :meth:`_KernelSum.of` from
+  the randomizer each entry point picks. The randomizers form one tilted
+  exponential family whose log-density gradient theta is constant on the
+  support; theta = 0 is the uniform randomizer. hat and check take the
+  config's randomizer or the generating one, so they agree bit for bit;
+  uniform (theta = 0) and exponential couple the support to the kernel
+  window, epsilon = M h. A formula depends only on epsilon, theta and h,
+  so at theta = 0 they are one, reading no K(u). Draws that carry no
+  generating randomizer are checked against the picked one's support.
 - ``estimate_double_kernel``: plugs a leave-one-out kernel estimate of
   the score into the localized regression; needs a second kernel acting
   in the state dimension.
@@ -197,7 +199,7 @@ def _finite(values, estimator_id: str):
 
 @dataclass(frozen=True)
 class _KernelSum:
-    """A single-kernel formula whose checks have passed (:func:`_formula`):
+    """The single-kernel formula of a randomizer at bandwidth h (:meth:`of`):
     with u = offsets / h and the draws along the last axis, the rows
 
         sum(phi * (K'(u) + tilt * K(u))) / (ell0 * N * h * h),
@@ -214,6 +216,11 @@ class _KernelSum:
     h: float
     tilt: float
     ell0: float
+
+    @classmethod
+    def of(cls, r: Randomizer, h: float) -> _KernelSum:
+        """The formula of randomizer r at bandwidth h."""
+        return cls(h, r.theta * h, r.density_at_zero())
 
     def sum(self, payoffs, grad, value, out=None) -> np.ndarray:
         """The sums over the last axis of the terms from K'(u) in ``grad``
@@ -246,39 +253,38 @@ def _kernel_sums(kernel: Kernel, formula: _KernelSum, payoffs, offsets, out=None
     return formula.sum(payoffs, grad, value, out=grad if value is None else value)
 
 
-def _formula(
-    eid: str,
-    gen: Randomizer | None,
-    kernel: Kernel,
-    bandwidth: float,
-    randomizer: Randomizer | None = None,
-    theta: float | None = None,
-    offsets=None,
-) -> _KernelSum:
-    """The checked formula of the single-kernel estimator ``eid`` (hat,
-    check, uniform or exponential) of draws made with the generating
-    randomizer ``gen``, None if unknown; raises the estimator's error if a
-    check fails.
+def _kernel_estimate(eid: str, samples: SampleSet, kernel: Kernel, h: float,
+                     r: Randomizer) -> Estimate:
+    """The single-kernel estimate ``eid`` of ``samples`` with randomizer r
+    at bandwidth h, after checking the draws against r's support unless
+    their generating randomizer did."""
+    offsets = samples.lambda0 - samples.lambdas
+    if samples.randomizer is None:
+        _require_support(offsets, r)
+    formula = _KernelSum.of(r, h)
+    # u = offsets / h overwrites the offsets
+    total = _kernel_sums(kernel, formula, samples.payoffs, offsets, offsets)
+    return Estimate(float(_finite(formula.finish(total, samples.n), eid)), samples.n, eid)
 
-    Each estimator decides a randomizer r, and its formula is
-    ``_KernelSum(h, r.theta * h, r.density_at_zero())``, so it depends on
-    r's epsilon and theta (0 for the uniform randomizer) and on h alone.
-    hat and check take ``randomizer`` when given, else ``gen``, and check
-    the ``offsets`` lambda0 - Lambda_i against its support when no ``gen``
-    did; their tilt is theta_r, the log-density gradient. uniform and
-    exponential couple the support to the kernel window, epsilon = M h, or
-    take gen's epsilon if it covers it; uniform is theta = 0, exponential
-    takes ``theta``, else gen's, and either must agree with gen's tilt.
-    """
+
+def _given_randomizer_estimate(eid: str, samples: SampleSet, config: EstimatorConfig) -> Estimate:
+    """hat or check: the config's randomizer, else the generating one."""
+    _require_draws(samples)
+    h = _require_bandwidth(config.bandwidth)
+    r = _resolve_randomizer(samples.randomizer, config.randomizer)
+    return _kernel_estimate(eid, samples, config.kernel, h, r)
+
+
+def _window_estimate(eid: str, samples: SampleSet, kernel: Kernel, bandwidth: float,
+                     theta: float | None) -> Estimate:
+    """uniform or exponential: the randomizer of tilt ``theta``, else the
+    generating one's, on the kernel window epsilon = M h, or on the
+    generating epsilon if that covers the window; the tilt must agree with
+    the generating one."""
+    _require_draws(samples)
     h = _require_bandwidth(bandwidth)
-    if eid in ("hat", "check"):
-        r = _resolve_randomizer(gen, randomizer)
-        if gen is None:  # no generating randomizer checked these draws
-            _require_support(offsets, r)
-        return _KernelSum(h, r.theta * h, r.density_at_zero())
-    if eid == "uniform":
-        theta = 0.0
-    elif theta is None:
+    gen = samples.randomizer
+    if theta is None:
         if gen is None:
             raise RandomizerMismatch("theta not given and the sample set carries no randomizer")
         theta = gen.theta
@@ -291,26 +297,7 @@ def _formula(
                 f"generating epsilon {gen.epsilon} is below the kernel window {eps}"
             )
         eps = gen.epsilon
-    r = Randomizer(eps, theta)
-    return _KernelSum(h, r.theta * h, r.density_at_zero())
-
-
-def _kernel_estimate(
-    eid: str,
-    samples: SampleSet,
-    kernel: Kernel,
-    bandwidth: float,
-    randomizer: Randomizer | None = None,
-    theta: float | None = None,
-) -> Estimate:
-    """The single-kernel estimate ``eid`` of ``samples`` by its
-    :func:`_formula`."""
-    _require_draws(samples)
-    offsets = samples.lambda0 - samples.lambdas
-    formula = _formula(eid, samples.randomizer, kernel, bandwidth, randomizer, theta, offsets)
-    # u = offsets / h overwrites the offsets
-    total = _kernel_sums(kernel, formula, samples.payoffs, offsets, offsets)
-    return Estimate(float(_finite(formula.finish(total, samples.n), eid)), samples.n, eid)
+    return _kernel_estimate(eid, samples, kernel, h, Randomizer(eps, theta))
 
 
 def estimate_single_kernel_hat(samples: SampleSet, config: EstimatorConfig) -> Estimate:
@@ -319,24 +306,24 @@ def estimate_single_kernel_hat(samples: SampleSet, config: EstimatorConfig) -> E
     Both randomizer families have a constant gradient on the support, so
     this is :func:`estimate_single_kernel_check` bit for bit.
     """
-    return _kernel_estimate("hat", samples, config.kernel, config.bandwidth, config.randomizer)
+    return _given_randomizer_estimate("hat", samples, config)
 
 
 def estimate_single_kernel_check(samples: SampleSet, config: EstimatorConfig) -> Estimate:
     """Kernel estimator with the log-density gradient frozen at offset 0."""
-    return _kernel_estimate("check", samples, config.kernel, config.bandwidth, config.randomizer)
+    return _given_randomizer_estimate("check", samples, config)
 
 
 def estimate_uniform_opt(samples: SampleSet, kernel: Kernel, bandwidth: float) -> Estimate:
     """Optimized uniform-randomization estimator, support coupled as eps = M h."""
-    return _kernel_estimate("uniform", samples, kernel, bandwidth)
+    return _window_estimate("uniform", samples, kernel, bandwidth, 0.0)
 
 
 def estimate_exponential_opt(
     samples: SampleSet, kernel: Kernel, bandwidth: float, theta: float | None = None
 ) -> Estimate:
     """Optimized exponential-randomization estimator; theta = 0 is the uniform one."""
-    return _kernel_estimate("exponential", samples, kernel, bandwidth, theta=theta)
+    return _window_estimate("exponential", samples, kernel, bandwidth, theta)
 
 
 def estimate_double_kernel(samples: SampleSet, config: EstimatorConfig) -> Estimate:

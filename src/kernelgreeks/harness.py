@@ -31,7 +31,6 @@ from .estimators import (
 from .estimators import (
     _finite,
     _finite_difference_sum,
-    _formula,
     _kernel_sums,
     _KernelSum,
     _likelihood_ratio_sum,
@@ -171,7 +170,6 @@ class RunPlan:
 
     finish: Callable
     kernel: Kernel | None = None
-    second_kernel: Kernel | None = None
     h: float | None = None
     theta: float | None = None
     epsilon: float | None = None
@@ -214,7 +212,6 @@ class RateFit:
     """Least-squares slope of ln(mse) against ln(N)."""
 
     grid_N: np.ndarray
-    log_mse: np.ndarray
     slope: float
     intercept: float
     r_squared: float
@@ -241,8 +238,8 @@ def resolve_run(cfg: ExperimentConfig, stream_base: int = 0) -> RunPlan:
     resolved parameters; the pilot tunes theta for exponential unless it
     is given. theta = 0 is the uniform randomizer, the only one of the
     uniform estimator. A bandwidth that is not positive and finite raises
-    DegenerateBandwidth, and a failed check of the formula its
-    estimator's error.
+    DegenerateBandwidth, and a tilt on the uniform estimator
+    RandomizerMismatch.
     """
     eid = cfg.estimator_id
     if eid == "lr":
@@ -277,11 +274,10 @@ def resolve_run(cfg: ExperimentConfig, stream_base: int = 0) -> RunPlan:
     randomizer = Randomizer(epsilon, theta)
     if eid == "double":
         # the estimates need no finishing
-        return RunPlan(lambda total, n: total, kernel, kernel, h, theta, epsilon, randomizer,
-                       pilot, choice)
-    formula = _formula(eid, randomizer, kernel, h, theta=theta)
-    return RunPlan(formula.finish, kernel, None, h, theta, epsilon, randomizer, pilot, choice,
-                   formula)
+        return RunPlan(lambda total, n: total, kernel, h, theta, epsilon, randomizer, pilot,
+                       choice)
+    formula = _KernelSum.of(randomizer, h)
+    return RunPlan(formula.finish, kernel, h, theta, epsilon, randomizer, pilot, choice, formula)
 
 
 def _draws_per_row(cfg: ExperimentConfig) -> int:
@@ -459,7 +455,7 @@ def _kernel_rows(members, lams, unit) -> list:
     scratch and is overwritten.
 
     Offsets, states, payoffs and the support check of the draws serve
-    every member; the formulas were checked when the plans were resolved.
+    every member; the formulas were built when the plans were resolved.
     A formula depends only on the randomizer and h, so members with equal
     kernel and formula, as hat, check and uniform are at the uniform
     randomizer, reduce once (:func:`_kernel_sums`); the last group takes
@@ -497,7 +493,7 @@ def _double_rows(members, lams, unit) -> list:
     payoffs = cfg.payoff(states)
 
     def rows(plan: RunPlan) -> np.ndarray:
-        ec = EstimatorConfig(plan.kernel, plan.h, plan.randomizer, plan.second_kernel)
+        ec = EstimatorConfig(plan.kernel, plan.h, plan.randomizer, plan.kernel)
         return np.array([
             estimate_double_kernel(SampleSet(cfg.model.spot, *row, plan.randomizer, kind), ec).value
             for row in zip(lams, states, payoffs)
@@ -887,7 +883,6 @@ def convergence_rate_fit(
     slope, intercept, r2 = fit_loglog(grid, mse_arr)
     return RateFit(
         grid_N=grid,
-        log_mse=np.log(mse_arr),
         slope=slope,
         intercept=intercept,
         r_squared=r2,

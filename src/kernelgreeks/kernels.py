@@ -98,14 +98,6 @@ class Kernel:
         np.copyto(out, 0.0, where=outside)
         return float(out) if out.ndim == 0 else out
 
-    def moment(self, r: int) -> float:
-        """Integral of u^r K(u) over the support (r = 0 gives the mass)."""
-        return kernel_moment(self, r)
-
-    def roughness(self) -> float:
-        """Integral of (dK/du)^2 over the support."""
-        return kernel_roughness(self)
-
 
 def builtin_kernel(family: str) -> Kernel:
     """Return one of the built-in polynomial kernels ('p2', 'p4' or 'p6')."""

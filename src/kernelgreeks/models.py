@@ -29,7 +29,6 @@ __all__ = [
     "LognormalLaw",
     "AsianConfig",
     "Payoff",
-    "ScoreCoefficients",
     "lognormal_params",
     "simulate_terminal",
     "simulate_asian",
@@ -230,14 +229,6 @@ def law_standardized_d(law: LognormalLaw, x, z):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class ScoreCoefficients:
-    """Coefficients a_0..a_k with x^k (d^k f/dx^k)/f = sum_i a_i d^i / x^k."""
-
-    k: int
-    a: tuple
-
-
 @lru_cache(maxsize=64)
 def _score_rows(sigma_key: float, k: int) -> tuple:
     # recursion: a_i^0 = [i == 0];  a_i^{j+1} = a_{i-1}^j - j a_i^j - ((i+1)/Sigma) a_{i+1}^j
@@ -253,11 +244,12 @@ def _score_rows(sigma_key: float, k: int) -> tuple:
     return tuple(row)
 
 
-def score_coefficients(law: LognormalLaw, k: int) -> ScoreCoefficients:
-    """Run the coefficient recursion up to derivative order k (1 <= k <= 10)."""
+def score_coefficients(law: LognormalLaw, k: int) -> tuple:
+    """The coefficients a_0..a_k with x^k (d^k f/dx^k)/f = sum_i a_i d^i / x^k,
+    from the recursion up to derivative order k (1 <= k <= 10)."""
     if not 1 <= k <= MAX_SCORE_ORDER:
         raise ValueError(f"k must be in 1..{MAX_SCORE_ORDER}")
-    return ScoreCoefficients(k=k, a=_score_rows(law.Sigma, k))
+    return _score_rows(law.Sigma, k)
 
 
 def law_density_ratio(law: LognormalLaw, x: float, z, k: int):
@@ -267,7 +259,7 @@ def law_density_ratio(law: LognormalLaw, x: float, z, k: int):
     silently read 0.
     """
     d = law_standardized_d(law, x, z)
-    coeffs = np.asarray(score_coefficients(law, k).a)
+    coeffs = np.asarray(score_coefficients(law, k))
     try:
         scale = float(x) ** k
     except OverflowError:

@@ -15,6 +15,7 @@ from kernelgreeks import (
     closed_form_digital_delta,
     digital_call,
     estimate_Ek,
+    kernel_moment,
     law_density_ratio,
     lognormal_params,
     optimize_theta,
@@ -40,7 +41,7 @@ from kernelgreeks.errors import (
 from kernelgreeks.models import LognormalLaw, constant_payoff
 
 K2 = builtin_kernel("p2")
-M2 = K2.moment(2)  # 0.2
+M2 = kernel_moment(K2, 2)  # 0.2
 PAPER = GbmParams(spot=120.0, rate=0.0, vol=0.2, maturity=1.0)
 
 
@@ -130,7 +131,7 @@ def test_bias_constant_wrong_moment_count():
 @given(st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3), st.sampled_from([2, 4, 6]))
 def test_untilted_constant_uses_only_top_moment(E3, p):
     kernel = builtin_kernel(f"p{p}")
-    mp = kernel.moment(p)
+    mp = kernel_moment(kernel, p)
     E = np.zeros(p + 1)
     E[-3:] = E3
     got = bias_constant_Ce(E, p, mp, 0.0)

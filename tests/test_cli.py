@@ -595,11 +595,49 @@ def test_bad_arguments_exit_with_usage_error():
 
 def test_domain_errors_report_cleanly(capsys):
     code = run_cli(
-        "estimate", "--estimator", "double", "--bandwidth", "4", "--n", "1", "--reps", "1"
+        "estimate", "--estimator", "double", "--bandwidth", "4", "--n", "1", "--reps", "2"
     )
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: replication 0")
+
+
+def test_estimate_refuses_a_zero_strike_before_replicating(capsys, monkeypatch):
+    # the reference is taken before the pilot and the replications
+    def no_work(*args, **kwargs):
+        raise AssertionError("estimate replicated before taking its reference")
+
+    monkeypatch.setattr(cli, "run_replications", no_work)
+    code = run_cli("estimate", "--strike", "0", "--n", "1000", "--reps", "4")
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: strike must be positive"]
+
+
+@pytest.mark.parametrize("command", ["estimate", "sweep", "compare"])
+def test_summaries_refuse_one_replication_before_any_work(tmp_path, capsys, monkeypatch,
+                                                          command):
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{command} started work with one replication")
+
+    for name in ("run_replications", "reference_value", "CommonRun", "convergence_rate_fit",
+                 "resolve_run"):
+        monkeypatch.setattr(cli, name, no_work)
+    n = "100,1000,10000,100000" if command == "sweep" else "1000"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, "--n", n, "--reps", "1", "--out", str(tmp_path / "x.csv"))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error: " in line]
+    assert len(errors) == 1 and "--reps" in errors[0]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_bandwidth_ignores_the_replication_count(capsys):
+    assert run_cli("bandwidth", "--n", "1000", "--reps", "1") == 0
+    assert "h_star = " in capsys.readouterr().out
 
 
 def test_out_of_range_seed_is_a_usage_error():

@@ -238,14 +238,33 @@ def test_opt_estimators_reject_narrow_support():
 
 
 def test_uniform_opt_detached_samples_use_coupled_support():
-    # without a generating randomizer the support defaults to eps = M h
+    # without a generating randomizer the support defaults to eps = M h, so
+    # draws inside it keep the bits they get with their randomizer attached
     r = uniform_randomizer(3.0)
     rng = np.random.default_rng(7)
     s = make_samples(rng, 100, randomizer=r)
     detached = SampleSet(s.lambda0, s.lambdas, s.states, s.payoffs)
-    assert estimate_uniform_opt(detached, K2, 3.0).value == pytest.approx(
-        estimate_uniform_opt(s, K2, 3.0).value, rel=1e-14
-    )
+    assert estimate_uniform_opt(detached, K2, 3.0).value == estimate_uniform_opt(s, K2, 3.0).value
+    for theta in (0.05, -0.1):
+        s = make_samples(rng, 100, randomizer=truncexp_randomizer(3.0, theta))
+        detached = SampleSet(s.lambda0, s.lambdas, s.states, s.payoffs)
+        want = estimate_exponential_opt(s, K2, 3.0).value
+        assert estimate_exponential_opt(detached, K2, 3.0, theta).value == want
+
+
+def test_window_estimators_check_detached_draws():
+    # draws from uniform(+-16) without their randomizer: the kernel window
+    # at h = 8 is +-8, so uniform and exponential refuse them, as hat and
+    # check refuse draws outside the config's support
+    s = make_samples(np.random.default_rng(1), 400, randomizer=uniform_randomizer(16.0),
+                     attach=False)
+    with pytest.raises(OutsideSupport):
+        estimate_uniform_opt(s, K2, 8.0)
+    with pytest.raises(OutsideSupport):
+        estimate_exponential_opt(s, K2, 8.0, theta=0.0)
+    # with their randomizer attached they are read on its support
+    attached = SampleSet(s.lambda0, s.lambdas, s.states, s.payoffs, uniform_randomizer(16.0))
+    assert estimate_uniform_opt(attached, K2, 8.0).value != 0.0
 
 
 def test_locality_of_single_kernel():

@@ -163,13 +163,11 @@ def test_resolve_run_fixed_bandwidth():
     assert plan.theta == 0.0
     assert plan.randomizer.theta == 0.0
     assert plan.randomizer.epsilon == 8.0  # M * h for the built-in support
-    assert plan.second_kernel is None
     assert plan.pilot is None
 
 
 def test_resolve_run_double_gets_second_kernel():
     plan = resolve_run(base_config(estimator_id="double"))
-    assert plan.second_kernel is plan.kernel
     # widened support: the leave-one-out windows of all outer-weighted
     # draws must fit inside it
     assert plan.randomizer.epsilon == 2.0 * plan.h * plan.kernel.support_radius
@@ -615,7 +613,6 @@ def test_convergence_fit_lr_parametric_rate():
     assert fit.r_squared > 0.95
     assert fit.h == (None, None, None, None)
     assert np.array_equal(fit.grid_N, [100, 1000, 10_000, 100_000])
-    assert np.allclose(fit.log_mse, np.log(fit.mse))
 
 
 @pytest.mark.slow
@@ -769,7 +766,7 @@ def _lone_replication(cfg, stream_id):
         if eid == "exponential":
             return estimate_exponential_opt(ss, plan.kernel, plan.h, plan.theta).value
         ec = EstimatorConfig(kernel=plan.kernel, bandwidth=plan.h, randomizer=plan.randomizer,
-                             second_kernel=plan.second_kernel)
+                             second_kernel=plan.kernel)
         if eid == "double":
             return estimate_double_kernel(ss, ec).value
         single = estimate_single_kernel_hat if eid == "hat" else estimate_single_kernel_check
@@ -1346,22 +1343,24 @@ def test_shared_group_sums_each_member_and_raises_a_kernel_error():
 
 def test_each_formula_is_built_once_per_run(monkeypatch):
     # five one-row blocks on two workers, each row of 1000 draws walked in
-    # eight leaves; the formulas are built and checked once, with the plans
+    # eight leaves; the formulas are built once, with the plans
     monkeypatch.setattr(harness, "_BLOCK_ELEMENTS", 200)
     built = []
-    formula = harness._formula
+    init = harness._KernelSum.__init__
 
-    def counted(*args, **kwargs):
-        built.append(args[0])
-        return formula(*args, **kwargs)
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
 
-    monkeypatch.setattr(harness, "_formula", counted)
+    monkeypatch.setattr(harness._KernelSum, "__init__", counted)
     cfgs = [base_config(estimator_id=eid, n_samples=1000, replications=5)
             for eid in ("hat", "uniform", "exponential")]
     common = CommonRun(cfgs, workers=2)
-    for cfg in cfgs:
-        assert np.all(np.isfinite(run_replications(cfg, common=common).estimates))
-    assert sorted(built) == ["exponential", "hat", "uniform"]
+    results = [run_replications(cfg, common=common) for cfg in cfgs]
+    assert all(np.all(np.isfinite(res.estimates)) for res in results)
+    # one construction per plan, and none while replicating
+    assert len(built) == 3
+    assert all(formula is res.plan.formula for formula, res in zip(built, results))
 
 
 def test_six_estimator_block_memory():

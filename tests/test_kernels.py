@@ -59,46 +59,46 @@ def test_builtins_are_even():
 
 
 def test_moment_table():
-    assert K2.moment(0) == pytest.approx(1.0, abs=1e-15)
-    assert K2.moment(2) == pytest.approx(0.2, abs=1e-15)
-    assert K4.moment(4) == pytest.approx(-1.0 / 21.0, abs=1e-15)
-    assert K6.moment(6) == pytest.approx(5.0 / 429.0, abs=1e-15)
+    assert kernel_moment(K2, 0) == pytest.approx(1.0, abs=1e-15)
+    assert kernel_moment(K2, 2) == pytest.approx(0.2, abs=1e-15)
+    assert kernel_moment(K4, 4) == pytest.approx(-1.0 / 21.0, abs=1e-15)
+    assert kernel_moment(K6, 6) == pytest.approx(5.0 / 429.0, abs=1e-15)
 
 
 def test_sub_order_moments_vanish():
     for k in ALL:
-        assert k.moment(0) == pytest.approx(1.0, abs=1e-10)
+        assert kernel_moment(k, 0) == pytest.approx(1.0, abs=1e-10)
         for r in range(1, k.order_p):
-            assert abs(k.moment(r)) < 1e-10
-        assert abs(k.moment(k.order_p)) > 1e-6
+            assert abs(kernel_moment(k, r)) < 1e-10
+        assert abs(kernel_moment(k, k.order_p)) > 1e-6
 
 
 def test_roughness_values():
-    assert K2.roughness() == pytest.approx(1.5, abs=1e-15)
-    assert K4.roughness() == pytest.approx(9.375, abs=1e-14)
-    assert K6.roughness() == pytest.approx(3675.0 / 128.0, abs=1e-12)
-    assert K6.roughness() > K4.roughness() > K2.roughness()
+    assert kernel_roughness(K2) == pytest.approx(1.5, abs=1e-15)
+    assert kernel_roughness(K4) == pytest.approx(9.375, abs=1e-14)
+    assert kernel_roughness(K6) == pytest.approx(3675.0 / 128.0, abs=1e-12)
+    assert kernel_roughness(K6) > kernel_roughness(K4) > kernel_roughness(K2)
 
 
 def test_exact_functionals_agree_with_quadrature():
     for k in ALL:
         for r in (0, k.order_p):
             quad = gauss_legendre_integral(lambda u, r=r: u**r * k(u), -1.0, 1.0)
-            assert k.moment(r) == pytest.approx(quad, abs=1e-10)
+            assert kernel_moment(k, r) == pytest.approx(quad, abs=1e-10)
         quad_rough = gauss_legendre_integral(lambda u: k.gradient(u) ** 2, -1.0, 1.0)
-        assert k.roughness() == pytest.approx(quad_rough, abs=1e-10)
+        assert kernel_roughness(k) == pytest.approx(quad_rough, abs=1e-10)
 
 
 def test_polynomial_kernel_wider_support():
     # K(u/2)/2 keeps unit mass on [-2, 2] and stays order 2
     k = Kernel(family="wide", order_p=2, coeffs=np.array([0.375, 0.0, -0.09375]),
                support_radius=2.0)
-    assert k.moment(0) == pytest.approx(1.0, abs=1e-15)
-    assert k.moment(1) == 0.0
-    assert k.moment(2) == pytest.approx(0.8, abs=1e-15)
-    assert k.roughness() == pytest.approx(0.1875, abs=1e-15)
+    assert kernel_moment(k, 0) == pytest.approx(1.0, abs=1e-15)
+    assert kernel_moment(k, 1) == 0.0
+    assert kernel_moment(k, 2) == pytest.approx(0.8, abs=1e-15)
+    assert kernel_roughness(k) == pytest.approx(0.1875, abs=1e-15)
     quad = gauss_legendre_integral(lambda u: u * u * k(u), -2.0, 2.0)
-    assert k.moment(2) == pytest.approx(quad, abs=1e-12)
+    assert kernel_moment(k, 2) == pytest.approx(quad, abs=1e-12)
     assert k(1.5) == pytest.approx(0.375 * (1.0 - 0.25 * 2.25), abs=1e-15)
     assert k(2.5) == k.gradient(-2.5) == 0.0
 
@@ -106,11 +106,6 @@ def test_polynomial_kernel_wider_support():
 def test_gauss_legendre_on_polynomial():
     assert gauss_legendre_integral(lambda x: x**3, 0.0, 1.0) == pytest.approx(0.25, abs=1e-14)
     assert gauss_legendre_integral(np.cos, 0.0, np.pi / 2) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_moment_helpers_match_methods():
-    assert kernel_moment(K2, 2) == K2.moment(2)
-    assert kernel_roughness(K4) == K4.roughness()
 
 
 @settings(max_examples=50, deadline=None)
