@@ -151,12 +151,12 @@ def bias_constant_Ce(E: np.ndarray, p: int, kernel_moment_p: float, theta: float
     return float(np.polynomial.polynomial.polyval(theta, _ce_poly(E, p, kernel_moment_p)))
 
 
-def _golden_section(g, lo: float, hi: float, iters: int = 200) -> float:
+def _golden_section(g, lo: float, hi: float) -> float:
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     gc, gd = g(c), g(d)
-    for _ in range(iters):
+    for _ in range(200):
         if gc < gd:
             b, d, gd = d, c, gc
             c = b - _GOLDEN * (b - a)
@@ -265,22 +265,19 @@ def select_bandwidth(
     spot: float,
     kernel: Kernel,
     n_target: int,
-    law: LognormalLaw | None = None,
     theta: float | None = None,
 ) -> tuple[PilotEstimates, BandwidthChoice]:
     """Full pilot pipeline from simulated states to a bandwidth choice.
 
     ``states`` are pilot draws of the (terminal or averaged) state at the
-    fixed spot. When ``law`` is omitted the rule-of-thumb lognormal fit
-    of the draws is plugged in; passing the true law skips that step.
+    fixed spot; the rule-of-thumb lognormal fit of the draws is their law.
     Without a fixed ``theta`` the tilt is tuned inside the bracket
     theta_max = 50 / (M * N^{-1/(2p+2)}); theta = 0 is the uniform
     randomizer's.
     """
     states = np.asarray(states, dtype=float)
     m_hat, Sigma_hat = rule_of_thumb_moments(states, spot)
-    if law is None:
-        law = LognormalLaw(m=m_hat, Sigma=Sigma_hat)
+    law = LognormalLaw(m=m_hat, Sigma=Sigma_hat)
     p = kernel.order_p
     moment_p = kernel_moment(kernel, p)
     E = np.array([estimate_Ek(states, payoff, spot, k, law) for k in range(1, p + 2)])

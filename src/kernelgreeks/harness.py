@@ -114,8 +114,12 @@ class ExperimentConfig:
     before the main run) or a fixed positive value; lr and fd have no
     bandwidth and ignore it. ``theta`` is the randomizer's tilt, and
     theta = 0 is the uniform randomizer: None lets the pilot optimize it
-    for the exponential estimator in auto mode and means 0 otherwise, and
-    the uniform estimator refuses a nonzero one.
+    for the exponential estimator in auto mode and means 0 otherwise.
+    The config refuses what needs no draw: with ValueError an unknown
+    estimator, N or R below 1, a seed or stream block out of range, a bad
+    bandwidth, theta, fd_alpha or fd_eps, antithetic pairing off the kernel
+    estimators or at odd N, and lr on the averaged state; with
+    RandomizerMismatch a nonzero tilt on the uniform estimator.
     """
 
     model: GbmParams
@@ -159,6 +163,10 @@ class ExperimentConfig:
                 raise ValueError("antithetic pairing applies to kernel estimators only")
             if self.n_samples % 2:
                 raise ValueError("antithetic pairing needs an even n_samples")
+        if self.estimator_id == "lr" and self.asian is not None:
+            raise ValueError("the lr estimator needs the terminal state")
+        if self.estimator_id == "uniform" and self.theta not in (None, 0.0):
+            raise RandomizerMismatch("a uniform randomizer cannot carry a tilt")
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,8 +246,7 @@ def resolve_run(cfg: ExperimentConfig, stream_base: int = 0) -> RunPlan:
     resolved parameters; the pilot tunes theta for exponential unless it
     is given. theta = 0 is the uniform randomizer, the only one of the
     uniform estimator. A bandwidth that is not positive and finite raises
-    DegenerateBandwidth, and a tilt on the uniform estimator
-    RandomizerMismatch.
+    DegenerateBandwidth.
     """
     eid = cfg.estimator_id
     if eid == "lr":
@@ -248,8 +255,6 @@ def resolve_run(cfg: ExperimentConfig, stream_base: int = 0) -> RunPlan:
         # the average difference over the bump, which is fd's epsilon
         return RunPlan(lambda total, n: total / n / cfg.fd_eps, epsilon=cfg.fd_eps)
     kernel = builtin_kernel(cfg.kernel_family)
-    if eid == "uniform" and cfg.theta not in (None, 0.0):
-        raise RandomizerMismatch("a uniform randomizer cannot carry a tilt")
     # None lets the pilot tune theta for exponential, and means 0 otherwise
     theta = 0.0 if cfg.theta is None and eid != "exponential" else cfg.theta
     pilot = choice = None
@@ -616,11 +621,12 @@ class CommonRun:
 
     The configs must agree on model, averaged state, N, R, seed and
     antithetic pairing; otherwise the constructor raises ValueError. The
-    group runs once, on the first call of :meth:`result`, and fails as
-    one: every config's result raises the group's one error. That is the
-    error of the first plan that fails, in config order; otherwise that of
-    the lowest failing replication, and on it the first in the order of
-    evaluation: the kernel groups, then fd, then lr.
+    constructor fixes the stream ids, the worker count and every plan, in
+    config order, so the first plan that fails raises from it, before any
+    reference or replication. The group replicates once, on the first
+    call of :meth:`result`, and fails as one: every config's result
+    raises the error of the lowest failing replication, and on it the
+    first in the order of evaluation: the kernel groups, then fd, then lr.
     """
 
     def __init__(self, cfgs, workers: int | None = None, stream_base: int = 0):
@@ -629,15 +635,10 @@ class CommonRun:
             for name in _COMMON_FIELDS:
                 if getattr(cfg, name) != getattr(self.cfgs[0], name):
                     raise ValueError(f"configs on common draws must agree on {name}")
-        self.workers, self.stream_base = workers, stream_base
+        self._ids = replication_ids(stream_base, self.cfgs[0].replications)
+        self._plans = [resolve_run(cfg, stream_base) for cfg in self.cfgs]
+        self.workers = _default_workers() if workers is None else max(1, workers)
         self._outcome = None
-
-    def _run(self) -> list:
-        ids = replication_ids(self.stream_base, self.cfgs[0].replications)
-        plans = [resolve_run(cfg, self.stream_base) for cfg in self.cfgs]
-        w = _default_workers() if self.workers is None else max(1, self.workers)
-        estimates, runtime_ms = _replicate(list(zip(self.cfgs, plans)), ids, w)
-        return [RunResult(e, runtime_ms, plan) for e, plan in zip(estimates, plans)]
 
     def result(self, cfg: ExperimentConfig) -> RunResult:
         """The result of ``cfg``, one of the group's configs; raises the
@@ -646,7 +647,9 @@ class CommonRun:
             raise ValueError("the config is not one of this common run's")
         if self._outcome is None:
             try:
-                self._outcome = self._run()
+                members = list(zip(self.cfgs, self._plans))
+                estimates, ms = _replicate(members, self._ids, self.workers)
+                self._outcome = [RunResult(e, ms, plan) for e, plan in zip(estimates, self._plans)]
             except Exception as exc:
                 self._outcome = exc
         if isinstance(self._outcome, Exception):
@@ -673,10 +676,10 @@ def run_replications(
     block's rows.
     Estimator errors are re-raised with the index of the first failing
     replication prepended and the original chained. With ``common``, a
-    :class:`CommonRun` that holds cfg, the result is cfg's share of that
-    group's run, and an error of any of its configs is raised for every
-    one; the group fixes workers and stream base, so passing either as
-    well raises ValueError.
+    :class:`CommonRun` that holds cfg and its plan, the result is cfg's
+    share of that group's run, and an error of any of its configs is
+    raised for every one; the group fixes workers and stream base, so
+    passing either as well raises ValueError.
     """
     if common is None:
         return CommonRun([cfg], workers, stream_base).result(cfg)
@@ -807,12 +810,12 @@ def summarize(
     )
 
 
-def kde_grid(estimates: np.ndarray, points: int = 257) -> np.ndarray:
+def kde_grid(estimates: np.ndarray) -> np.ndarray:
     """Evaluation grid spanning mean +/- 4 sample standard deviations."""
     est = np.asarray(estimates, dtype=float)
     center = float(np.mean(est))
     spread = float(np.std(est, ddof=1))
-    return np.linspace(center - 4.0 * spread, center + 4.0 * spread, points)
+    return np.linspace(center - 4.0 * spread, center + 4.0 * spread, 257)
 
 
 def kde_of_estimates(estimates: np.ndarray, grid: np.ndarray) -> np.ndarray:
@@ -848,17 +851,13 @@ def fit_loglog(grid_N, mse) -> tuple[float, float, float]:
     return float(slope), float(intercept), float(r2)
 
 
-def convergence_rate_fit(
-    cfg: ExperimentConfig,
-    grid_N,
-    replications: int | None = None,
-    workers: int | None = None,
-) -> RateFit:
+def convergence_rate_fit(cfg: ExperimentConfig, grid_N) -> RateFit:
     """Replicate the experiment across the N grid and fit the MSE slope.
 
     Point i of the grid gets its own disjoint stream block, and auto
-    bandwidth is re-selected at every N. The grid must have at least 4
-    strictly increasing points spanning two decades.
+    bandwidth is re-selected at every N; every point's plan is resolved
+    before the reference. The grid must have at least 4 strictly
+    increasing points spanning two decades.
     """
     grid = np.asarray(grid_N, dtype=int)
     if grid.size < 4:
@@ -867,17 +866,13 @@ def convergence_rate_fit(
         raise InvalidGrid("grid_N must be strictly increasing")
     if grid[-1] < 100 * grid[0]:
         raise InvalidGrid("grid_N must span at least two decades")
+    points = [replace(cfg, n_samples=int(n)) for n in grid]
+    runs = [CommonRun([point], stream_base=sweep_base(i)) for i, point in enumerate(points)]
     reference, source = reference_value(cfg)
     mses, hs = [], []
-    for i, n in enumerate(grid):
-        sub = replace(
-            cfg,
-            n_samples=int(n),
-            replications=int(replications or cfg.replications),
-        )
-        res = run_replications(sub, workers=workers, stream_base=sweep_base(i))
-        summ = summarize(res.estimates, reference, source)
-        mses.append(summ.mse)
+    for point, run in zip(points, runs):
+        res = run_replications(point, common=run)
+        mses.append(summarize(res.estimates, reference, source).mse)
         hs.append(res.plan.h)
     mse_arr = np.asarray(mses)
     slope, intercept, r2 = fit_loglog(grid, mse_arr)

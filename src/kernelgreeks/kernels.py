@@ -110,9 +110,9 @@ def builtin_kernel(family: str) -> Kernel:
     return Kernel(family=family, order_p=order, coeffs=coeffs.copy())
 
 
-def gauss_legendre_integral(f: Callable, lo: float, hi: float, nodes: int = QUADRATURE_NODES) -> float:
-    """Gauss-Legendre quadrature of f over [lo, hi] with a fixed node count."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
+def gauss_legendre_integral(f: Callable, lo: float, hi: float) -> float:
+    """Gauss-Legendre quadrature of f over [lo, hi] with QUADRATURE_NODES nodes."""
+    x, w = np.polynomial.legendre.leggauss(QUADRATURE_NODES)
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     return float(half * np.dot(w, f(mid + half * x)))
 

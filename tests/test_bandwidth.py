@@ -293,10 +293,9 @@ def test_select_bandwidth_fixed_theta():
     assert not choice.degenerate
 
 
-def test_select_bandwidth_with_true_law():
-    law = lognormal_params(PAPER)
+def test_select_bandwidth_with_fitted_law():
     pilot, _ = select_bandwidth(
-        pilot_states(100), digital_call(120.0), 120.0, K2, 10**5, law=law, theta=0.0
+        pilot_states(100), digital_call(120.0), 120.0, K2, 10**5, theta=0.0
     )
     n = pilot.pilot_N
     target = closed_form_digital_delta(PAPER, 120.0)

@@ -130,3 +130,18 @@ def test_workload_plan_and_reference_calls():
     assert plan.h > 0.0
     ref = harness.asian_fd_reference(MODEL, digital_call(120.0), AsianConfig(steps=2), 5, n=1000)
     assert math.isfinite(ref)
+
+
+def test_tracer_counts_a_rate_fit_point_by_point():
+    # small_n_sweep reads harness.reps and bandwidth.selections per round:
+    # one run_replications and one automatic selection for each grid point
+    cfg = ExperimentConfig(model=MODEL, payoff=digital_call(120.0), estimator_id="uniform",
+                           n_samples=100, replications=3, seed=5)
+    tracer = _tracer()
+    try:
+        tracer.install()
+        harness.convergence_rate_fit(cfg, [100, 300, 1000, 10_000])
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["harness.reps"] == 4 * 3
+    assert tracer.counts["bandwidth.selections"] == 4

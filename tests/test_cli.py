@@ -603,7 +603,8 @@ def test_domain_errors_report_cleanly(capsys):
 
 
 def test_estimate_refuses_a_zero_strike_before_replicating(capsys, monkeypatch):
-    # the reference is taken before the pilot and the replications
+    # the pilot comes before the reference, and the reference still comes
+    # before the replications
     def no_work(*args, **kwargs):
         raise AssertionError("estimate replicated before taking its reference")
 
@@ -613,6 +614,30 @@ def test_estimate_refuses_a_zero_strike_before_replicating(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == ["error: strike must be positive"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["estimate", "--estimator", "uniform", "--theta", "0.5"],
+     "a uniform randomizer cannot carry a tilt"),
+    (["estimate", "--strike", "1e9"], "payoff is identically zero on the pilot draws"),
+    (["compare", "--estimator", "uniform,fd", "--strike", "1e9"],
+     "payoff is identically zero on the pilot draws"),
+])
+def test_an_asian_run_fails_before_its_reference(tmp_path, capsys, monkeypatch, argv, message):
+    # the Asian reference is a long finite difference: the config and the
+    # plans are checked before it
+    def no_reference(*args, **kwargs):
+        raise AssertionError("the run took its reference before checking its plans")
+
+    for module in (cli, harness):
+        monkeypatch.setattr(module, "reference_value", no_reference)
+    code = run_cli(*argv, "--asian-steps", "5", "--n", "1000", "--reps", "2",
+                   "--out", str(tmp_path / "o.csv"))
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["estimate", "sweep", "compare"])

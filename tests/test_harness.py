@@ -46,7 +46,6 @@ from kernelgreeks.errors import (
     NonPositiveVariance,
     OutsideSupport,
     RandomizerMismatch,
-    ScoreUnavailable,
 )
 from kernelgreeks.estimators import (
     estimate_exponential_opt,
@@ -178,9 +177,12 @@ def test_resolve_run_non_kernel_is_empty():
     assert plan.kernel is None and plan.h is None and plan.randomizer is None
 
 
-def test_resolve_run_rejects_tilted_uniform():
-    with pytest.raises(RandomizerMismatch):
-        resolve_run(base_config(theta=0.5))
+def test_config_rejects_tilted_uniform():
+    # a check that needs no draw belongs to the config, so no caller
+    # resolves a plan or takes a reference first
+    with pytest.raises(RandomizerMismatch, match="^a uniform randomizer cannot carry a tilt$"):
+        base_config(theta=0.5)
+    assert base_config(theta=0.0).theta == 0.0
 
 
 def test_resolve_run_auto_is_reproducible():
@@ -615,6 +617,18 @@ def test_convergence_fit_lr_parametric_rate():
     assert np.array_equal(fit.grid_N, [100, 1000, 10_000, 100_000])
 
 
+def test_convergence_fit_resolves_every_plan_before_the_reference(monkeypatch):
+    calls = []
+    for name in ("resolve_run", "reference_value", "run_replications"):
+        def recorded(*args, _name=name, _original=getattr(harness, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, recorded)
+    convergence_rate_fit(base_config(bandwidth="auto", replications=3), [100, 300, 1000, 10_000])
+    assert calls == 4 * ["resolve_run"] + ["reference_value"] + 4 * ["run_replications"]
+
+
 @pytest.mark.slow
 def test_asian_kernel_and_fd_agree():
     # The averaged state has no closed form, so the randomized-kernel and
@@ -706,10 +720,10 @@ def test_streamed_asian_replication_matches_one_full_draw(estimator_id, antithet
 
 
 def test_asian_lr_has_no_score():
-    cfg = base_config(estimator_id="lr", asian=AsianConfig(steps=4), n_samples=100,
-                      replications=2)
-    with pytest.raises(ScoreUnavailable, match="replication 0"):
-        run_replications(cfg, workers=1)
+    # the config refuses it; the SampleSet path raises ScoreUnavailable
+    with pytest.raises(ValueError, match="^the lr estimator needs the terminal state$"):
+        ExperimentConfig(model=PAPER, payoff=digital_call(120.0), estimator_id="lr",
+                         asian=AsianConfig(steps=4))
 
 
 @pytest.mark.parametrize("steps", [50, 200])
@@ -1188,20 +1202,15 @@ def test_common_run_needs_configs_that_share_their_draws():
 def test_common_run_fails_as_one():
     uniform = base_config(replications=3)
     fd = base_config(estimator_id="fd", bandwidth=1.0, fd_eps=300.0, replications=3)
-    tilted = base_config(theta=0.1, replications=3)
     group = CommonRun([uniform, fd], workers=1)
     for cfg in (uniform, fd):
         with pytest.raises(DegenerateBump, match="^replication 0: downward bump") as info:
             group.result(cfg)
         assert isinstance(info.value.__cause__, DegenerateBump)
-    # a failing plan stops the group before fd's replications fail
-    group = CommonRun([fd, uniform, tilted], workers=1)
-    errors = []
-    for cfg in group.cfgs:
-        with pytest.raises(RandomizerMismatch, match="^a uniform randomizer cannot") as info:
-            run_replications(cfg, common=group)
-        errors.append(info.value)
-    assert errors[0] is errors[1] is errors[2]
+    # a failing plan raises from the constructor, before any replication
+    silent = base_config(bandwidth="auto", payoff=digital_call(1e9), replications=3)
+    with pytest.raises(NonPositiveVariance, match="^payoff is identically zero"):
+        CommonRun([fd, uniform, silent], workers=1)
 
 
 def test_a_fault_stops_the_later_blocks_of_every_member(monkeypatch):
