@@ -3,7 +3,8 @@
 Four subcommands share one flag set:
 
 - ``estimate``: one replication study, prints ``mean +/- stderr``
-- ``bandwidth``: pilot pipeline only, prints the fitted quantities
+- ``bandwidth``: pilot pipeline only, prints the fitted quantities; lr
+  and fd have no bandwidth and show uniform's
 - ``sweep``: rate study over a comma-separated ``--n`` grid, writes the
   rate CSV
 - ``compare``: several comma-separated ``--estimator`` ids on common
@@ -233,6 +234,8 @@ def _cmd_estimate(ns, parser) -> int:
 
 
 def _cmd_bandwidth(ns, parser) -> int:
+    if ns.estimator not in ESTIMATOR_IDS:
+        parser.error(f"unknown estimator {ns.estimator!r}")
     estimator = ns.estimator if ns.estimator in KERNEL_ESTIMATORS else "uniform"
     cfg = _experiment_config(ns, parser, estimator, _single_n(ns, parser))
     if cfg.bandwidth != "auto":

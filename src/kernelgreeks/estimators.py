@@ -205,7 +205,7 @@ class _KernelSum:
         sum(phi * (K'(u) + tilt * K(u))) / (ell0 * N * h * h),
 
     with tilt = theta h and ell0 = ell(0) of the randomizer, so uniform is
-    tilt 0 and then reads no K(u). :meth:`sum` adds up the terms of some
+    tilt 0 and then reads no K(u). :meth:`sums` adds up the terms of some
     draws of each row and :meth:`finish` scales a row's sum by its N, so a
     row may be summed in pieces. Every row is reduced in the same operation
     order as a single (N,) sample set, so a (B, N) block gives the same
@@ -222,15 +222,20 @@ class _KernelSum:
         """The formula of randomizer r at bandwidth h."""
         return cls(h, r.theta * h, r.density_at_zero())
 
-    def sum(self, payoffs, grad, value, out=None) -> np.ndarray:
-        """The sums over the last axis of the terms from K'(u) in ``grad``
-        and K(u) in ``value`` (unread, and may be None, when the tilt is 0).
-        ``out`` may be the one of them that the formula reads last, K(u)
-        with a tilt and K'(u) without, which it then overwrites; otherwise
-        both are left as they are."""
+    def sums(self, kernel: Kernel, payoffs, offsets, out=None) -> np.ndarray:
+        """The row sums over the last axis of the draws at ``offsets``
+        lambda0 - Lambda_i: u = offsets / h, K'(u) and, only with a tilt,
+        K(u), whose array then holds the terms. u goes into ``out``, which
+        may be ``offsets`` itself, else into a temporary that is dropped
+        before the terms are summed."""
+        u = np.divide(offsets, self.h, out=out)
+        grad = kernel.gradient(u)
         if not self.tilt:
-            return np.sum(np.multiply(grad, payoffs, out=out), axis=-1)
-        terms = np.multiply(value, self.tilt, out=out)
+            del u
+            return np.sum(np.multiply(grad, payoffs, out=grad), axis=-1)
+        terms = kernel(u)
+        del u
+        terms *= self.tilt
         terms += grad
         terms *= payoffs
         return np.sum(terms, axis=-1)
@@ -238,19 +243,6 @@ class _KernelSum:
     def finish(self, total, n: int):
         """The rows from the sums ``total`` of rows of n draws."""
         return total / (self.ell0 * n * self.h * self.h)
-
-
-def _kernel_sums(kernel: Kernel, formula: _KernelSum, payoffs, offsets, out=None) -> np.ndarray:
-    """The row sums of ``formula`` over the last axis of the draws at
-    ``offsets`` lambda0 - Lambda_i: u = offsets / h, K'(u) and, only with a
-    tilt, K(u), which the sum then overwrites. u goes into ``out``, which
-    may be ``offsets`` itself, else into a temporary that is dropped before
-    the terms are summed."""
-    u = np.divide(offsets, formula.h, out=out)
-    grad = kernel.gradient(u)
-    value = kernel(u) if formula.tilt else None
-    del u
-    return formula.sum(payoffs, grad, value, out=grad if value is None else value)
 
 
 def _kernel_estimate(eid: str, samples: SampleSet, kernel: Kernel, h: float,
@@ -263,7 +255,7 @@ def _kernel_estimate(eid: str, samples: SampleSet, kernel: Kernel, h: float,
         _require_support(offsets, r)
     formula = _KernelSum.of(r, h)
     # u = offsets / h overwrites the offsets
-    total = _kernel_sums(kernel, formula, samples.payoffs, offsets, offsets)
+    total = formula.sums(kernel, samples.payoffs, offsets, offsets)
     return Estimate(float(_finite(formula.finish(total, samples.n), eid)), samples.n, eid)
 
 
@@ -670,22 +662,16 @@ def estimate_oracle_score(samples: SampleSet, model: GbmParams) -> Estimate:
     """The likelihood-ratio average (1/N) sum phi(Z_i) s(lambda0, Z_i) for
     draws at the fixed spot of the terminal-state model."""
     _require_draws(samples)
-    value = _likelihood_ratio_sum(
-        model, samples.state_kind, samples.lambda0, samples.states, samples.payoffs
-    ) / samples.n
-    return Estimate(float(_finite(value, "lr")), samples.n, "lr")
-
-
-def _require_score(state_kind: str) -> None:
-    if state_kind != "terminal":
+    if samples.state_kind != "terminal":
         raise ScoreUnavailable("no closed-form score for the averaged state")
+    value = _likelihood_ratio_sum(model, samples.lambda0, samples.states, samples.payoffs)
+    return Estimate(float(_finite(value / samples.n, "lr")), samples.n, "lr")
 
 
-def _likelihood_ratio_sum(model: GbmParams, state_kind: str, lambda0: float, states, payoffs):
-    """The sums of phi(Z_i) s(lambda0, Z_i) over the last axis of draws made
-    at the fixed spot lambda0; a row's likelihood-ratio average is its sum
-    divided by its N."""
-    _require_score(state_kind)
+def _likelihood_ratio_sum(model: GbmParams, lambda0: float, states, payoffs):
+    """The sums of phi(Z_i) s(lambda0, Z_i) over the last axis of terminal
+    states drawn at the fixed spot lambda0; a row's likelihood-ratio average
+    is its sum divided by its N."""
     law = lognormal_params(model)
     svals = law_standardized_d(law, lambda0, states) / lambda0
     return np.sum(payoffs * svals, axis=-1)

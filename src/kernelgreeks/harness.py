@@ -21,7 +21,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bandwidth import BandwidthChoice, PilotEstimates, select_bandwidth
-from .errors import InsufficientReplications, InvalidGrid, NonPositiveVariance, RandomizerMismatch
+from .errors import (InsufficientReplications, InvalidGrid, NonFiniteEstimate,
+                     NonPositiveVariance, RandomizerMismatch)
 from .estimators import (
     EstimatorConfig,
     FdConfig,
@@ -31,7 +32,6 @@ from .estimators import (
 from .estimators import (
     _finite,
     _finite_difference_sum,
-    _kernel_sums,
     _KernelSum,
     _likelihood_ratio_sum,
     _payoff_difference,
@@ -362,19 +362,19 @@ def _evaluate_block(members, first_id: int, gens, draws, unit) -> list:
     doubled support can equal a single-kernel randomizer, their estimates
     (:func:`_double_rows`). Each group takes its offsets from the kept
     uniforms into ``draws[1]``, and a lone group in their place. fd, then
-    lr, read the unit-spot states last. Each member keeps its leaf sums,
-    direct and mirrored apart under antithetic pairing; they are added up
-    numpy's summation tree and finished by its plan with the row's N in the
-    same operation order as a lone replication, so the estimates are the
-    same bits. The checks run in that order, leaf by leaf: the kernel
+    lr, read the unit-spot states last. A member's result for a leaf is one
+    (sides, rows) array of sums, the mirrored side after the direct one
+    under antithetic pairing; these are added up numpy's summation tree,
+    finished by its plan with the row's N and averaged over the sides in
+    the same operation order as a lone replication, so the estimates are
+    the same bits. The checks run in that order, leaf by leaf: the kernel
     groups, fd, lr, and last the finish of each member.
     """
     cfg = members[0][0]
     spot, m, rows = cfg.model.spot, _draws_per_row(cfg), unit.shape[0]
     limit = _row_limit(members)
     leaves = _tree_leaves(m, limit)
-    # member -> its sums per leaf: a list of one array, or of two under
-    # antithetic pairing
+    # member -> its (sides, rows) sums per leaf
     sums = [[] for _ in members]
     groups, plain = {}, []
     for i, (c, p) in enumerate(members):
@@ -409,37 +409,20 @@ def _evaluate_block(members, first_id: int, gens, draws, unit) -> list:
             # a lone group may take the uniforms' place, and the scratch
             # buffer then stays untouched, which keeps its pages unmapped
             offsets = randomizer.sample_offsets(u, u if len(groups) == 1 else scratch)
-            mirrored = offsets + spot if cfg.antithetic else None
-            # the spots overwrite the offsets, which no longer serve
-            lams = np.subtract(spot, offsets, out=offsets)
+            mirrored = [offsets + spot] if cfg.antithetic else []
+            # the direct spots overwrite the offsets, which no longer serve
+            spots = [np.subtract(spot, offsets, out=offsets), *mirrored]
             rows_of = _double_rows if double else _kernel_rows
-            values = _paired(rows_of, [members[i] for i in shared], lams, mirrored, z)
-            for i, v in zip(shared, values):
-                sums[i].append(v)
+            group = [members[i] for i in shared]
+            sides = [rows_of(group, lams, z) for lams in spots]
+            for i, *per_side in zip(shared, *sides):
+                sums[i].append(np.stack(per_side))
         for i in plain:
-            sums[i].append([_noise_sum(members[i][0], z, i == plain[-1])])
+            sums[i].append(_noise_sum(members[i][0], z, i == plain[-1])[None])
     return [
-        _finished(c.estimator_id, p.finish, [_tree_add(m, limit, iter(t)) for t in zip(*kept)], m)
+        _finite(p.finish(_tree_add(m, limit, iter(kept)), m), c.estimator_id).mean(axis=0)
         for (c, p), kept in zip(members, sums)
     ]
-
-
-def _finished(eid: str, finish, totals: list, n: int):
-    """The estimates of rows of n draws from their sums ``totals``: one
-    array, or a direct and a mirrored one under antithetic pairing, whose
-    mean the estimates are."""
-    values = [_finite(finish(total, n), eid) for total in totals]
-    return values[0] if len(values) == 1 else 0.5 * (values[0] + values[1])
-
-
-def _paired(rows_of, members, lams, mirrored, unit) -> list:
-    """``rows_of`` the members at the spots ``lams`` and, under antithetic
-    pairing, at the ``mirrored`` ones: for each member a list of one or two
-    results."""
-    sides = [rows_of(members, lams, unit)]
-    if mirrored is not None:
-        sides.append(rows_of(members, mirrored, unit))
-    return [list(side) for side in zip(*sides)]
 
 
 def _noise_sum(cfg: ExperimentConfig, unit, consume: bool) -> np.ndarray:
@@ -450,22 +433,21 @@ def _noise_sum(cfg: ExperimentConfig, unit, consume: bool) -> np.ndarray:
         return _finite_difference_sum(cfg.model, cfg.payoff, fd, unit)
     spot = cfg.model.spot
     states = np.multiply(unit, spot, out=unit if consume else None)
-    kind = "terminal" if cfg.asian is None else "asian"
-    return _likelihood_ratio_sum(cfg.model, kind, spot, states, cfg.payoff(states))
+    return _likelihood_ratio_sum(cfg.model, spot, states, cfg.payoff(states))
 
 
 def _kernel_rows(members, lams, unit) -> list:
     """Each member's single-kernel sums of the draws at spots ``lams``, one
-    per row; the members share randomizer and payoff. ``lams`` serves as
-    scratch and is overwritten.
+    per row, for one side of a leaf; the members share randomizer and
+    payoff. ``lams`` serves as scratch and is overwritten.
 
     Offsets, states, payoffs and the support check of the draws serve
     every member; the formulas were built when the plans were resolved.
     A formula depends only on the randomizer and h, so members with equal
     kernel and formula, as hat, check and uniform are at the uniform
-    randomizer, reduce once (:func:`_kernel_sums`); the last group takes
-    u = offsets / h in place of the offsets, so the members hold no more
-    (rows, N) arrays at once than one alone.
+    randomizer, reduce once (:meth:`_KernelSum.sums`); the last group
+    takes u = offsets / h in place of the offsets, so the members hold no
+    more (rows, N) arrays at once than one alone.
     """
     cfg, plan = members[0]
     states = np.multiply(lams, unit)
@@ -480,7 +462,7 @@ def _kernel_rows(members, lams, unit) -> list:
     for g, idx in enumerate(groups.values()):
         p = members[idx[0]][1]
         u = offsets if g == len(groups) - 1 else None
-        total = _kernel_sums(p.kernel, p.formula, payoffs, offsets, u)
+        total = p.formula.sums(p.kernel, payoffs, offsets, u)
         for i in idx:
             totals[i] = total
     return totals
@@ -785,19 +767,23 @@ def reference_value(cfg: ExperimentConfig) -> tuple[float, str]:
 def summarize(
     estimates: np.ndarray, reference: float | None, reference_source: str = "closed_form"
 ) -> ExperimentSummary:
-    """Replication statistics; bias and mse are taken against the reference."""
+    """Replication statistics; bias and mse are taken against the reference.
+    A variance or MSE that overflows raises NonFiniteEstimate."""
     est = np.asarray(estimates, dtype=float)
     if est.size < 2:
         raise InsufficientReplications("summaries need at least two replications")
-    mean = float(np.mean(est))
-    variance = float(np.var(est, ddof=1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(np.mean(est))
+        variance = float(np.var(est, ddof=1))
+        mse = float("nan") if reference is None else float(np.mean((est - reference) ** 2))
+    if not math.isfinite(variance) or not (reference is None or math.isfinite(mse)):
+        raise NonFiniteEstimate("the variance or the MSE of the estimates is not finite")
     stderr = math.sqrt(variance / est.size)
     if reference is None:
-        bias = mse = float("nan")
+        bias = float("nan")
         reference_source = "none"
     else:
         bias = mean - reference
-        mse = float(np.mean((est - reference) ** 2))
     return ExperimentSummary(
         estimates=est,
         mean=mean,
@@ -837,11 +823,16 @@ def kde_of_estimates(estimates: np.ndarray, grid: np.ndarray) -> np.ndarray:
 
 
 def fit_loglog(grid_N, mse) -> tuple[float, float, float]:
-    """OLS slope, intercept and r^2 of ln(mse) on ln(N)."""
+    """OLS slope, intercept and r^2 of ln(mse) on ln(N); an MSE that is
+    not positive raises NonPositiveVariance."""
     n = np.asarray(grid_N, dtype=float)
     m = np.asarray(mse, dtype=float)
     if n.size != m.size or n.size < 2:
         raise ValueError("need matching grids with at least two points")
+    for size, value in zip(n, m):
+        if not value > 0.0:
+            raise NonPositiveVariance(f"the MSE at N = {size:.0f} is {value:g}, "
+                                      "so its log is not finite")
     x, y = np.log(n), np.log(m)
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)

@@ -145,3 +145,27 @@ def test_tracer_counts_a_rate_fit_point_by_point():
         tracer.uninstall()
     assert tracer.counts["harness.reps"] == 4 * 3
     assert tracer.counts["bandwidth.selections"] == 4
+
+
+def test_tracer_counts_one_kernel_evaluation_per_term():
+    # european_compare reads kernels.evals: a formula evaluates K' once per
+    # draw and K only with a tilt, and members that share a formula evaluate
+    # it once; an antithetic pair evaluates each of its N / 2 draws twice
+    base = ExperimentConfig(model=MODEL, payoff=digital_call(120.0), estimator_id="uniform",
+                            bandwidth=6.0, n_samples=1000, replications=4, seed=5)
+    runs = {
+        4000: [[base], [replace(base, estimator_id=e) for e in ("hat", "check", "uniform")],
+               [replace(base, antithetic=True)]],
+        8000: [[replace(base, estimator_id="exponential", theta=0.05)]],
+    }
+    for evals, groups in runs.items():
+        for cfgs in groups:
+            tracer = _tracer()
+            try:
+                tracer.install()
+                run = harness.CommonRun(cfgs, workers=1)
+                for cfg in cfgs:
+                    run.result(cfg)
+            finally:
+                tracer.uninstall()
+            assert tracer.counts["kernels.evals"] == evals, cfgs

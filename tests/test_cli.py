@@ -246,6 +246,22 @@ def test_bandwidth_command_prints_pilot(capsys):
     assert float(h_line.split(" = ")[1]) > 0.0
 
 
+def test_bandwidth_refuses_an_unknown_estimator_and_shows_uniform_for_lr_and_fd(capsys):
+    for estimator in ("bogus", "uniform,lr"):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("bandwidth", "--estimator", estimator, "--n", "1000")
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error: " in line]
+        assert errors == [f"kernelgreeks: error: unknown estimator {estimator!r}"]
+    printed = {}
+    for estimator in ("uniform", "lr", "fd"):
+        assert run_cli("bandwidth", "--estimator", estimator, "--n", "1000") == 0
+        printed[estimator] = capsys.readouterr().out
+    assert printed["lr"] == printed["fd"] == printed["uniform"]
+
+
 def test_sweep_requires_out():
     with pytest.raises(SystemExit) as exc:
         run_cli("sweep", "--estimator", "lr", "--n", "100,1000,10000")
@@ -298,6 +314,22 @@ def test_sweep_rejects_a_short_grid_before_any_work(tmp_path, capsys, monkeypatc
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith(("error: rate fits", "error: grid_N"))
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("extra", [["--estimator", "lr"], ["--estimator", "fd"],
+                                   ["--estimator", "uniform", "--bandwidth", "5"]])
+def test_sweep_refuses_a_zero_mse(tmp_path, capsys, extra):
+    # no draw reaches the strike, so every estimate and the reference are 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli("sweep", "--strike", "1e6", "--n", "100,1000,10000,100000", "--reps",
+                       "2", "--out", str(tmp_path / "s.csv"), *extra)
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: the MSE at N = 100 is 0, so its log is not finite"]
+    assert list(tmp_path.iterdir()) == []
+    assert not caught
 
 
 def test_compare_writes_summary_and_kde(tmp_path, capsys):
@@ -734,11 +766,29 @@ def test_overflowing_pilot_names_its_states(capsys):
     assert not [w for w in caught if "invalid value" in str(w.message)]
 
 
+def test_estimate_refuses_an_overflowing_spread(tmp_path, capsys):
+    # at rate 700 the identity's lr estimates are finite, near 1e304, but
+    # their variance and MSE overflow
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli("estimate", "--estimator", "lr", "--payoff", "identity",
+                       "--model.rate", "700", "--n", "1000", "--reps", "2",
+                       "--out", str(tmp_path / "e.csv"))
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: the variance or the MSE of the estimates is not finite"]
+    assert list(tmp_path.iterdir()) == []
+    assert not caught
+
+
 _RATES = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([-1000.0, -800.0, 700.0, 800.0, 1000.0]))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=420, deadline=None)
 @given(
+    estimator=st.sampled_from(harness.ESTIMATOR_IDS),
     kernel=st.sampled_from(["p2", "p4", "p6"]),
     payoff=st.sampled_from(["digital", "vanilla", "identity"]),
     strike=st.floats(1.0, 400.0),
@@ -747,12 +797,12 @@ _RATES = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([-1000.0, -800.0, 700.0
     n=st.integers(2, 400),
     bandwidth=st.sampled_from(["auto", "2", "8"]),
 )
-def test_double_estimate_ends_in_a_finite_value_or_one_error_line(kernel, payoff, strike, vol,
-                                                                    rate, n, bandwidth):
+def test_estimate_ends_in_a_finite_value_or_one_error_line(estimator, kernel, payoff, strike, vol,
+                                                             rate, n, bandwidth):
     # the CLI's contract: exit 0 with finite numbers, or exit 2 with one
     # error line; an uncaught exception fails the test with its traceback.
     # Flags are written flag=value, so that a negative value reads as one.
-    argv = ["estimate", "--estimator=double", f"--kernel={kernel}", f"--payoff={payoff}",
+    argv = ["estimate", f"--estimator={estimator}", f"--kernel={kernel}", f"--payoff={payoff}",
             f"--strike={strike!r}", f"--model.vol={vol!r}", f"--model.rate={rate!r}",
             f"--bandwidth={bandwidth}", f"--n={n}", "--reps=2"]
     out, err = io.StringIO(), io.StringIO()

@@ -5,6 +5,7 @@ import os
 import sys
 import threading
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -519,6 +520,14 @@ def test_summarize_needs_two():
         summarize(np.array([1.0]), 1.0)
 
 
+def test_summarize_refuses_an_overflowing_spread():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for est, reference in (([1e300, -1e300], None), ([1e300, 1e300], -1e300)):
+            with pytest.raises(NonFiniteEstimate, match="variance or the MSE"):
+                summarize(np.array(est), reference)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.lists(st.floats(-100.0, 100.0), min_size=2, max_size=40),
@@ -596,6 +605,12 @@ def test_fit_loglog_exact_power_law():
     assert r2 == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
         fit_loglog(grid, grid[:2])
+
+
+def test_fit_loglog_refuses_an_mse_that_is_not_positive():
+    grid = np.array([100.0, 1000.0, 10_000.0, 100_000.0])
+    with pytest.raises(NonPositiveVariance, match="^the MSE at N = 1000 is 0,"):
+        fit_loglog(grid, [1e-3, 0.0, 1e-5, 1e-6])
 
 
 def test_convergence_fit_validation():
